@@ -19,7 +19,6 @@ from .backends import (
 from .banded_gmx import BandExceededError, BandedGmxAligner
 from .batch import BatchResult, align_batch
 from .chunked import (
-    align_chunked,
     canonical_cigar,
     canonicalize_ops,
     ops_to_runs,
@@ -32,6 +31,9 @@ from .parallel import (
     BatchTelemetry,
     PoolError,
     ShardTelemetry,
+    TaskTimeout,
+    UnpicklableReply,
+    WorkerLost,
     WorkerPool,
     align_batch_sharded,
     iter_shards,
@@ -55,12 +57,14 @@ __all__ = [
     "PoolError",
     "ResilienceCounters",
     "ShardTelemetry",
+    "TaskTimeout",
+    "UnpicklableReply",
+    "WorkerLost",
     "WorkerPool",
     "WindowedAligner",
     "WindowedGmxAligner",
     "align_batch",
     "align_batch_sharded",
-    "align_chunked",
     "align_pair",
     "backend_names",
     "canonical_cigar",

@@ -35,8 +35,13 @@ import os
 import pickle
 import threading
 import time
+from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from multiprocessing.reduction import ForkingPickler
+from typing import (
+    Callable, Deque, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
+)
 
 from ..analysis.sanitizer import runtime as dsan
 from ..obs import runtime as obs
@@ -260,64 +265,96 @@ def _resolve_start_method(preferred: Optional[str]) -> Optional[str]:
 
 
 class PoolError(RuntimeError):
-    """Raised on :class:`WorkerPool` lifecycle misuse (e.g. use after close)."""
+    """Root of :class:`WorkerPool` failures; raised on lifecycle misuse."""
 
 
-class _InlineHandle:
-    """Completed-on-construction stand-in for a pool ``AsyncResult``.
-
-    Inline pools execute the work in the submitting thread; the handle
-    then answers ``get``/``ready`` with the stored outcome, so callers
-    drive both executors through one interface.
-    """
-
-    __slots__ = ("_value", "_error")
-
-    def __init__(self, fn: Callable, payload) -> None:
-        self._value = None
-        self._error: Optional[BaseException] = None
-        try:
-            self._value = fn(payload)
-        except Exception as exc:  # noqa: BLE001 - re-raised from get()
-            self._error = exc
-
-    def get(self, timeout: Optional[float] = None):
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def ready(self) -> bool:
-        return True
+class WorkerLost(PoolError):
+    """The worker process running a task died before it replied."""
 
 
-def _pool_worker_init() -> None:
-    """Worker-process initializer: leave SIGINT to the parent.
+class TaskTimeout(PoolError):
+    """A task ran past the ``timeout`` it was submitted with."""
 
-    A foreground Ctrl-C is delivered to the whole process group; without
-    this, every pool worker dies printing its own KeyboardInterrupt
-    traceback while the parent is already running its orderly shutdown
-    (which terminates the workers anyway).
+
+class UnpicklableReply(PoolError):
+    """A task's reply could not cross the process boundary."""
+
+
+def _worker_main(conn) -> None:
+    """Worker-process loop: one ``(fn, payload)`` request, one reply.
+
+    SIGINT is left to the parent: a foreground Ctrl-C reaches the whole
+    process group, and the parent's orderly shutdown stops the workers
+    anyway.  A reply (value or raised exception) that fails to pickle is
+    replaced by an :class:`UnpicklableReply`, so the worker survives it.
     """
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            fn, payload = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, fn(payload))
+        except Exception as exc:  # noqa: BLE001 - shipped to the future
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except Exception as exc:  # noqa: BLE001 - pickling the reply
+            conn.send((False, UnpicklableReply(
+                f"reply of {getattr(fn, '__qualname__', fn)!r} failed to "
+                f"pickle: {type(exc).__name__}: {exc}"
+            )))
+
+
+class _Task(NamedTuple):
+    fn: Callable
+    payload: object
+    timeout: Optional[float]
+    future: Future
+
+
+@dataclass(eq=False)
+class _Worker:
+    """One worker process, its duplex pipe and the task it owns."""
+
+    process: object
+    conn: object
+    task: Optional[_Task] = None
+    deadline: Optional[float] = None
 
 
 class WorkerPool:
-    """A reusable worker-pool handle: create once, submit many, close once.
+    """A reusable worker pool: create once, submit many, close once.
 
-    This is the shared pool lifecycle behind both the one-shot batch API
-    (:func:`align_batch_sharded` creates an ephemeral pool per call) and
-    the long-lived alignment service (:mod:`repro.serve` creates one warm
-    pool at startup and reuses it across requests).  The handle wraps a
-    ``multiprocessing.Pool`` when a start method is available and degrades
-    to a deterministic in-process executor otherwise (``workers=1``, or a
-    platform without ``fork``/``spawn``).
+    This is the one owner of worker processes behind the one-shot batch
+    API (:func:`align_batch_sharded` creates an ephemeral pool per call),
+    the resilient engine (one ephemeral pool per batch) and the
+    long-lived alignment service (:mod:`repro.serve` creates one warm
+    pool at startup).  In process mode it runs ``workers`` long-lived
+    processes, each with one duplex pipe; one supervisor thread waits on
+    the pipes, the process sentinels and a wake-up pipe, and gives each
+    worker at most one task at a time.  Because every task has exactly
+    one owner:
 
-    Lifecycle: :meth:`start` (optional — first submit warms lazily) →
-    :meth:`submit`/:meth:`imap` → :meth:`rebuild` on suspected crashes →
-    :meth:`close`.  ``generation`` counts pool (re)creations, so callers
-    can tell a warm reuse from a rebuild.
+    * a worker that dies fails only its own task's future, with
+      :class:`WorkerLost`, and only that worker is respawned;
+    * ``submit(..., timeout=)`` is a hard deadline: the owning worker is
+      killed (and respawned) and the future fails with
+      :class:`TaskTimeout`;
+    * a reply that cannot be pickled fails its future with
+      :class:`UnpicklableReply` and the worker keeps serving.
+
+    Without a start method (``workers=1``, or a platform without
+    ``fork``/``spawn``) the pool executes inline and :meth:`submit`
+    returns an already-completed future; an inline task that ran past its
+    ``timeout`` completes as :class:`TaskTimeout` (a soft deadline).
+
+    Lifecycle: :meth:`start` (optional — the first submit starts
+    lazily) → :meth:`submit`/:meth:`imap` → :meth:`close`.  ``respawns``
+    counts worker processes replaced after a death or a deadline kill.
     """
 
     def __init__(
@@ -334,11 +371,13 @@ class WorkerPool:
         self._method = (
             _resolve_start_method(start_method) if workers > 1 else None
         )
-        self._pool = None
         self._lock = threading.Lock()
-        self.generation = 0
-        self.rebuilds = 0
+        self._queue: Deque[_Task] = deque()
+        self._workers: List[_Worker] = []
+        self._supervisor: Optional[threading.Thread] = None
+        self._wake_r = self._wake_w = None
         self._closed = False
+        self.respawns = 0
 
     @property
     def method(self) -> Optional[str]:
@@ -347,7 +386,7 @@ class WorkerPool:
 
     @property
     def process_mode(self) -> bool:
-        """True when shards run in worker processes (not inline)."""
+        """True when tasks run in worker processes (not inline)."""
         return self._method is not None
 
     @property
@@ -361,80 +400,230 @@ class WorkerPool:
     def closed(self) -> bool:
         return self._closed
 
-    def _ensure_pool(self):
+    def _ensure_started(self) -> None:
+        """Spawn the workers and the supervisor once (caller holds the lock)."""
         if self._closed:
             raise PoolError("worker pool is closed")
-        if self.process_mode and self._pool is None:
-            import multiprocessing
+        if not self.process_mode or self._supervisor is not None:
+            return
+        import multiprocessing
 
-            context = multiprocessing.get_context(self._method)
-            self._pool = context.Pool(
-                processes=self.workers, initializer=_pool_worker_init
-            )
-            self.generation += 1
-        return self._pool
+        self._context = multiprocessing.get_context(self._method)
+        self._wake_r, self._wake_w = self._context.Pipe(duplex=False)
+        self._workers = [self._spawn() for _ in range(self.workers)]
+        self._supervisor = threading.Thread(
+            target=self._supervise, name="repro-pool-supervisor", daemon=True
+        )
+        self._supervisor.start()
+
+    def _spawn(self) -> _Worker:
+        parent_conn, child_conn = self._context.Pipe()
+        process = self._context.Process(
+            target=_worker_main, args=(child_conn,), daemon=True
+        )
+        process.start()
+        child_conn.close()
+        return _Worker(process, parent_conn)
 
     def start(self) -> "WorkerPool":
-        """Warm the pool now (idempotent); returns self for chaining."""
+        """Start the workers now (idempotent); returns self for chaining."""
         with self._lock:
-            self._ensure_pool()
+            self._ensure_started()
         return self
 
     def worker_pids(self) -> List[int]:
-        """PIDs of the live worker processes (empty for inline pools)."""
-        with self._lock:
-            if self._pool is None:
-                return []
-            procs = getattr(self._pool, "_pool", None) or []
-            return [proc.pid for proc in procs if proc.pid is not None]
+        """PIDs of the worker processes (empty for inline pools)."""
+        return [worker.process.pid for worker in self._workers]
 
-    def submit(self, fn: Callable, payload):
-        """Dispatch ``fn(payload)`` asynchronously; returns a result handle.
+    def submit(
+        self, fn: Callable, payload, timeout: Optional[float] = None
+    ) -> Future:
+        """Run ``fn(payload)`` on one worker; returns its :class:`Future`.
 
-        The handle answers ``get(timeout)`` / ``ready()`` — a
-        ``multiprocessing`` ``AsyncResult`` in process mode, an
-        already-completed :class:`_InlineHandle` otherwise.  ``fn`` must be
-        a module-level callable (it crosses the pickle boundary).
+        ``fn`` must be a module-level callable (it crosses the pickle
+        boundary).  ``timeout`` is the task's deadline in seconds from the
+        moment a worker takes it (see the class docstring for the failure
+        types the future can carry).
         """
+        future: Future = Future()
         with self._lock:
-            pool = self._ensure_pool()
-        if pool is None:
-            return _InlineHandle(fn, payload)
-        return pool.apply_async(fn, (payload,))
+            self._ensure_started()
+            if self.process_mode:
+                self._queue.append(_Task(fn, payload, timeout, future))
+                self._wake_w.send_bytes(b"")
+                return future
+        future.set_running_or_notify_cancel()
+        start = time.perf_counter()
+        try:
+            value = fn(payload)
+        except Exception as exc:  # noqa: BLE001 - carried by the future
+            future.set_exception(exc)
+            return future
+        elapsed = time.perf_counter() - start
+        if timeout is not None and elapsed > timeout:
+            future.set_exception(TaskTimeout(
+                f"inline task took {elapsed:.3f}s (soft deadline {timeout}s)"
+            ))
+        else:
+            future.set_result(value)
+        return future
 
     def imap(self, fn: Callable, payloads: Iterable) -> Iterator:
-        """Ordered lazy map over the pool (inline: a plain generator)."""
-        with self._lock:
-            pool = self._ensure_pool()
-        if pool is None:
-            return map(fn, payloads)
-        return pool.imap(fn, payloads)
+        """Ordered map over the pool, fed lazily (inline: a plain ``map``).
 
-    def rebuild(self) -> None:
-        """Tear the current pool down and start a fresh one.
-
-        The crash-recovery path: a worker killed mid-task loses that task
-        forever (the pool replaces the process but the reply never comes),
-        so supervisors detect the loss by deadline, rebuild the pool, and
-        re-run the work.  In-flight handles of the old pool are abandoned.
+        At most two tasks per worker are outstanding, so a generator
+        input is consumed only as results are yielded.
         """
         with self._lock:
-            if self._pool is not None:
-                self._pool.terminate()
-                self._pool.join()
-                self._pool = None
-                self.rebuilds += 1
-            if not self._closed:
-                self._ensure_pool()
+            self._ensure_started()
+        if not self.process_mode:
+            return map(fn, payloads)
+        return self._imap(fn, payloads)
+
+    def _imap(self, fn: Callable, payloads: Iterable) -> Iterator:
+        window: Deque[Future] = deque()
+        try:
+            for payload in payloads:
+                window.append(self.submit(fn, payload))
+                if len(window) >= 2 * self.workers:
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
+        finally:
+            for future in window:
+                future.cancel()
+
+    # -- supervisor thread ----------------------------------------------
+
+    def _next_task(self) -> Optional[_Task]:
+        with self._lock:
+            while self._queue:
+                task = self._queue.popleft()
+                if task.future.set_running_or_notify_cancel():
+                    return task
+            return None
+
+    def _dispatch(self, worker: _Worker, task: _Task) -> bool:
+        """Hand ``task`` to idle ``worker``; False if it failed to pickle."""
+        try:
+            request = ForkingPickler.dumps((task.fn, task.payload))
+        except Exception as exc:  # noqa: BLE001 - the caller's payload
+            task.future.set_exception(exc)
+            return False
+        worker.task = task
+        if task.timeout is not None:
+            worker.deadline = time.monotonic() + task.timeout
+        try:
+            worker.conn.send_bytes(request)
+        except OSError:
+            pass  # the worker is dead; its sentinel reports the loss
+        return True
+
+    def _receive(self, worker: _Worker) -> None:
+        try:
+            ok, value = worker.conn.recv()
+        except (EOFError, OSError):
+            self._replace(worker, WorkerLost, "died before replying")
+            return
+        except Exception as exc:  # noqa: BLE001 - unpickling the reply
+            ok, value = False, UnpicklableReply(
+                f"reply failed to unpickle: {type(exc).__name__}: {exc}"
+            )
+        task, worker.task, worker.deadline = worker.task, None, None
+        if ok:
+            task.future.set_result(value)
+        else:
+            task.future.set_exception(value)
+
+    def _replace(self, worker: _Worker, error: type, reason: str) -> None:
+        """Kill (if needed) and respawn one worker; fail only its task."""
+        worker.process.kill()
+        worker.process.join()
+        worker.conn.close()
+        self._workers[self._workers.index(worker)] = self._spawn()
+        self.respawns += 1
+        if worker.task is not None:
+            worker.task.future.set_exception(error(
+                f"worker pid {worker.process.pid} {reason} "
+                f"(exit code {worker.process.exitcode})"
+            ))
+
+    def _supervise(self) -> None:
+        try:
+            self._supervise_loop()
+        finally:
+            with self._lock:
+                self._closed = True
+            self._teardown()
+
+    def _supervise_loop(self) -> None:
+        from multiprocessing.connection import wait
+
+        workers = self._workers
+        while True:
+            idle = [worker for worker in workers if worker.task is None]
+            while idle:
+                task = self._next_task()
+                if task is None:
+                    break
+                if self._dispatch(idle[-1], task):
+                    idle.pop()
+            deadlines = [w.deadline for w in workers if w.deadline is not None]
+            timeout = (
+                max(0.0, min(deadlines) - time.monotonic())
+                if deadlines else None
+            )
+            busy = {w.conn: w for w in workers if w.task is not None}
+            sentinels = {w.process.sentinel: w for w in workers}
+            ready = wait([self._wake_r, *busy, *sentinels], timeout=timeout)
+            if self._wake_r in ready:
+                while self._wake_r.poll():
+                    self._wake_r.recv_bytes()
+                if self._closed:
+                    return
+            # Replies first: a worker that answered and then died still
+            # delivered its task.
+            for handle in ready:
+                if handle in busy:
+                    self._receive(busy[handle])
+            for handle in ready:
+                worker = sentinels.get(handle)
+                if worker is not None and worker in workers:
+                    self._replace(worker, WorkerLost, "died before replying")
+            now = time.monotonic()
+            for worker in list(workers):
+                if worker.deadline is not None and now >= worker.deadline:
+                    self._replace(
+                        worker, TaskTimeout,
+                        f"was killed at its {worker.task.timeout}s deadline",
+                    )
+
+    def _teardown(self) -> None:
+        """Stop every worker; unfinished futures fail with PoolError."""
+        for worker in self._workers:
+            worker.process.terminate()
+        for worker in self._workers:
+            worker.process.join()
+            worker.conn.close()
+            if worker.task is not None:
+                worker.task.future.set_exception(PoolError("pool closed"))
+        while True:
+            task = self._next_task()
+            if task is None:
+                break
+            task.future.set_exception(PoolError("pool closed"))
+        self._wake_r.close()
+        self._wake_w.close()
 
     def close(self) -> None:
-        """Shut the pool down (idempotent); further submits raise."""
+        """Stop the pool (idempotent); unfinished futures fail, submits raise."""
         with self._lock:
+            wake = not self._closed and self._supervisor is not None
             self._closed = True
-            if self._pool is not None:
-                self._pool.terminate()
-                self._pool.join()
-                self._pool = None
+            if wake:
+                self._wake_w.send_bytes(b"")
+        if self._supervisor is not None:
+            self._supervisor.join()
 
     def __enter__(self) -> "WorkerPool":
         return self.start()

@@ -94,7 +94,7 @@ class DistWorker:
             "incarnation": self.incarnation,
             "workers": self.pool.workers,
             "executor": self.pool.executor,
-            "pool_generation": self.pool.generation,
+            "pool_respawns": self.pool.respawns,
             "shards_done": done,
         }
 
@@ -114,8 +114,8 @@ class DistWorker:
             want_obs,
         )
         started = time.perf_counter()
-        handle = self.pool.submit(_execute_dist_shard, payload)
-        results, _stats, _elapsed, _worker, buffers = handle.get()
+        future = self.pool.submit(_execute_dist_shard, payload)
+        results, _stats, _elapsed, _worker, buffers = future.result()
         spans, metrics = buffers
         with self._lock:
             self.shards_done += 1

@@ -5,8 +5,9 @@
 correct — byte-identical to a fault-free serial run — while workers
 crash, hang, return garbage, or the (modelled) hardware corrupts values:
 
-* **deadlines** — each shard attempt runs under ``shard_timeout``;
-  process-mode attempts are terminated at the deadline, inline attempts
+* **deadlines** — each shard attempt runs under ``shard_timeout`` as a
+  :class:`~repro.align.parallel.WorkerPool` task: in process mode the
+  pool kills the owning worker at the deadline (hard), inline attempts
   are rejected retroactively (soft deadline).
 * **retry with seeded backoff** — failed attempts are retried up to
   ``max_retries`` times with exponentially growing, deterministically
@@ -34,8 +35,10 @@ for in the returned ledger.
 from __future__ import annotations
 
 import contextlib
+import os
 import pickle
 import time
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -50,8 +53,11 @@ from ..align.parallel import (
     DEFAULT_SHARD_SIZE,
     BatchTelemetry,
     ShardTelemetry,
+    TaskTimeout,
+    UnpicklableReply,
+    WorkerLost,
+    WorkerPool,
     _pickling_failure,
-    _resolve_start_method,
     iter_shards,
 )
 from ..common.retry import RetryPolicy
@@ -162,6 +168,8 @@ class _ShardReply:
     poison: bool
     fired: Tuple[int, ...]
     unfired: Tuple[int, ...]
+    #: ``pid:<n>`` of the process that ran the attempt.
+    worker: str = ""
     #: Observability freight captured in the worker (drained span dicts +
     #: metrics snapshot payload); absorbed by the supervisor on success.
     spans: Tuple[dict, ...] = ()
@@ -258,22 +266,28 @@ def _verify_result(
                     )
 
 
-def _execute_item(aligner: Aligner, task: _ShardTask) -> _ShardReply:
+def _execute_item(payload: Tuple[Aligner, _ShardTask]):
     """Align one shard attempt, injecting any armed faults.
 
-    Runs in the worker (process mode) or in the parent (inline mode);
-    raises on injected crashes and on any failed verification.  When the
-    parent has observability on (``task.obs``) and this attempt runs in a
-    worker process, the attempt's spans and metrics are captured locally
-    and shipped back inside the reply for the supervisor to absorb.
+    The :class:`~repro.align.parallel.WorkerPool` task body (a dsan
+    worker root): runs in a pool worker (process mode) or in the parent
+    (inline mode); raises on injected crashes and on any failed
+    verification, and returns a deliberately unpicklable
+    :class:`_PoisonedReply` when an ``unpicklable`` fault struck.  When
+    the parent has observability on (``task.obs``) and this attempt runs
+    in a worker process, the attempt's spans and metrics are captured
+    locally and shipped back inside the reply for the supervisor to
+    absorb.
     """
+    aligner, task = payload
     if task.obs and not obs.owns_recorder():
         with obs.capture() as (recorder, registry):
             reply = _execute_item_body(aligner, task)
         reply.spans = tuple(recorder.drain())
         reply.metrics = registry.snapshot().to_dict()
-        return reply
-    return _execute_item_body(aligner, task)
+    else:
+        reply = _execute_item_body(aligner, task)
+    return _PoisonedReply(reply) if reply.poison else reply
 
 
 @contextlib.contextmanager
@@ -371,69 +385,32 @@ def _execute_item_body(aligner: Aligner, task: _ShardTask) -> _ShardReply:
         poison=poison,
         fired=tuple(fired),
         unfired=tuple(unfired),
+        worker=f"pid:{os.getpid()}",
     )
 
 
-_PICKLE_FAILURES = (pickle.PicklingError, TypeError, AttributeError)
-
-
-def _classify(exc: Exception) -> _ShardFailure:
-    if isinstance(exc, (CrossCheckError, AlignmentError)):
+def _classify(item: "_WorkItem", future: Future):
+    """Map a finished attempt's future to a reply or a :class:`_ShardFailure`."""
+    where = f"shard [{item.lo},{item.hi})"
+    try:
+        value = future.result()
+    except TaskTimeout as exc:
+        return _ShardFailure("timeout", f"{where}: {exc}")
+    except WorkerLost as exc:
+        return _ShardFailure("crash", f"{where}: {exc}")
+    except UnpicklableReply as exc:
+        return _ShardFailure("unpicklable", f"{where}: {exc}")
+    except (CrossCheckError, AlignmentError) as exc:
         return _ShardFailure("cross-check", str(exc))
-    if isinstance(exc, FaultError):
+    except FaultError as exc:
         return _ShardFailure("crash", str(exc))
-    return _ShardFailure("exception", f"{type(exc).__name__}: {exc}")
-
-
-def _process_entry(conn, aligner: Aligner, task: _ShardTask) -> None:
-    """Worker-process body: run the attempt, ship one payload back."""
-    try:
-        reply = _execute_item(aligner, task)
-        payload = _PoisonedReply(reply) if reply.poison else reply
-        try:
-            conn.send(payload)
-        except _PICKLE_FAILURES as exc:
-            conn.send(
-                _ShardFailure(
-                    "unpicklable",
-                    f"shard [{task.lo},{task.hi}) reply failed to "
-                    f"pickle: {type(exc).__name__}",
-                )
-            )
-    except Exception as exc:
-        conn.send(_classify(exc))
-    finally:
-        conn.close()
-
-
-def _run_inline(
-    aligner: Aligner, task: _ShardTask, deadline: Optional[float]
-):
-    """Inline attempt with the same failure surface as a worker process."""
-    try:
-        reply = _execute_item(aligner, task)
-    except Exception as exc:
-        return _classify(exc)
-    if reply.poison:
+    except Exception as exc:  # noqa: BLE001 - any other attempt failure
+        return _ShardFailure("exception", f"{type(exc).__name__}: {exc}")
+    if isinstance(value, _PoisonedReply):  # inline: nothing was pickled
         return _ShardFailure(
-            "unpicklable",
-            f"shard [{task.lo},{task.hi}) reply poisoned (injected)",
+            "unpicklable", f"{where} reply poisoned (injected)"
         )
-    if deadline is not None and reply.elapsed > deadline:
-        return _ShardFailure(
-            "timeout",
-            f"shard [{task.lo},{task.hi}) took {reply.elapsed:.3f}s "
-            f"(soft deadline {deadline}s)",
-        )
-    return reply
-
-
-@dataclass
-class _Active:
-    item: _WorkItem
-    process: object
-    conn: object
-    started: float
+    return value
 
 
 _FAILURE_COUNTERS = {
@@ -828,8 +805,9 @@ def align_batch_resilient(
     once, the struck attempts are retried on healthy hardware).
 
     Args:
-        workers: concurrent shard processes (1 = supervised inline
-            execution with the same retry/degradation semantics).
+        workers: processes in the batch's warm
+            :class:`~repro.align.parallel.WorkerPool` (1 = supervised
+            inline execution with the same retry/degradation semantics).
         shard_size: pairs per shard (default ``DEFAULT_SHARD_SIZE``).
         cross_check: independently verify every result — BPM score
             comparison, alignment replay validation, and (for tracing
@@ -837,9 +815,9 @@ def align_batch_resilient(
             detection layer for silent compute corruption.
         max_retries: attempts after the first, per work item
             (overrides ``retry.max_retries``).
-        shard_timeout: per-attempt deadline in seconds.  Process-mode
-            attempts are terminated at the deadline; inline attempts are
-            rejected after the fact.  Defaults to
+        shard_timeout: per-attempt deadline in seconds.  In process mode
+            the pool kills the attempt's worker at the deadline; inline
+            attempts are rejected after the fact.  Defaults to
             :data:`DEFAULT_CHAOS_TIMEOUT` when a fault plan is present.
         slow_threshold: elapsed seconds above which a successful shard
             counts as *slow* (default: half the deadline).
@@ -879,12 +857,9 @@ def align_batch_resilient(
         slow_threshold = shard_timeout * 0.5
 
     pickling_failure = _pickling_failure(aligner) if workers > 1 else None
-    method = (
-        _resolve_start_method(start_method)
-        if workers > 1 and pickling_failure is None
-        else None
+    pool = WorkerPool(
+        workers if pickling_failure is None else 1, start_method=start_method
     )
-    inline = method is None
 
     journal = None
     if checkpoint is not None:
@@ -914,7 +889,7 @@ def align_batch_resilient(
         plan=fault_plan,
         journal=journal,
         fallback=fallback,
-        inline=inline,
+        inline=not pool.process_mode,
     )
 
     telemetry = BatchTelemetry(
@@ -922,17 +897,15 @@ def align_batch_resilient(
         shard_size=shard_size,
         backend=getattr(getattr(aligner, "backend", None), "name", None),
     )
-    telemetry.executor = "resilient-inline" if inline else f"resilient-{method}"
+    telemetry.executor = f"resilient-{pool.method or 'inline'}"
     telemetry.fallback_reason = pickling_failure
     start = time.perf_counter()
     token = dsan.batch_begin()
     try:
         with obs.span("batch.align_resilient", workers=workers):
-            if inline:
-                _drive_inline(supervisor, aligner)
-            else:
-                _drive_pool(supervisor, aligner, workers, method)
+            _drive(supervisor, pool)
     finally:
+        pool.close()
         dsan.batch_end(token, "align_batch_resilient")
     obs.inc("batch.resilient_runs")
     batch = supervisor.assemble(telemetry)
@@ -956,126 +929,51 @@ def _make_task(supervisor: _Supervisor, item: _WorkItem) -> _ShardTask:
     )
 
 
-def _drive_inline(supervisor: _Supervisor, aligner: Aligner) -> None:
-    """Sequential executor: one attempt at a time, soft deadlines."""
-    worker = aligner
-    if supervisor.plan is not None:
-        # Emulate the worker-copy semantics of process mode so injected
+def _drive(supervisor: _Supervisor, pool: WorkerPool) -> None:
+    """Keep up to ``pool.workers`` attempts in flight until the batch drains.
+
+    Every attempt is one pool task under the ``shard_timeout`` deadline
+    and carries its own pickled copy of the aligner, so injected state
+    never outlives an attempt even though the workers stay warm.  An
+    inline pool runs one attempt at a time, each handled before the next
+    is armed, so inline campaigns replay exactly.
+    """
+    limit = pool.workers if pool.process_mode else 1
+    aligner = supervisor.aligner
+    if not pool.process_mode and supervisor.plan is not None:
+        # Emulate the per-attempt worker copy of process mode so injected
         # state never leaks into the caller's aligner.
-        failure = _pickling_failure(aligner)
-        if failure is None:
-            worker = pickle.loads(pickle.dumps(aligner))
+        if _pickling_failure(aligner) is None:
+            aligner = pickle.loads(pickle.dumps(aligner))
+    active: Dict[Future, _WorkItem] = {}
     while True:
         now = time.monotonic()
-        item = supervisor.next_ready(now)
-        if item is None:
+        while len(active) < limit:
+            item = supervisor.next_ready(now)
+            if item is None:
+                break
+            if supervisor.try_resume(item):
+                continue
+            task = _make_task(supervisor, item)
+            future = pool.submit(
+                _execute_item, (aligner, task),
+                timeout=supervisor.shard_timeout,
+            )
+            active[future] = item
+        if not active:
             if supervisor.drained():
                 return
             time.sleep(min(0.05, supervisor.next_ready_in(now) or 0.001))
             continue
-        if supervisor.try_resume(item):
-            continue
-        task = _make_task(supervisor, item)
-        payload = _run_inline(worker, task, supervisor.shard_timeout)
-        supervisor.handle(item, payload, worker="inline")
-
-
-def _drive_pool(
-    supervisor: _Supervisor, aligner: Aligner, workers: int, method: str
-) -> None:
-    """Process-per-attempt executor with hard deadlines."""
-    import multiprocessing
-
-    context = multiprocessing.get_context(method)
-    active: List[_Active] = []
-    try:
-        while True:
-            now = time.monotonic()
-            while len(active) < workers:
-                item = supervisor.next_ready(now)
-                if item is None:
-                    break
-                if supervisor.try_resume(item):
-                    continue
-                task = _make_task(supervisor, item)
-                parent_conn, child_conn = context.Pipe(duplex=False)
-                process = context.Process(
-                    target=_process_entry,
-                    args=(child_conn, aligner, task),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                active.append(
-                    _Active(
-                        item=item,
-                        process=process,
-                        conn=parent_conn,
-                        started=time.monotonic(),
-                    )
-                )
-            if not active:
-                if supervisor.drained():
-                    return
-                time.sleep(
-                    min(0.05, supervisor.next_ready_in(time.monotonic()) or 0.001)
-                )
-                continue
-            progressed = False
-            for entry in list(active):
-                payload = _poll_active(supervisor, entry)
-                if payload is None:
-                    continue
-                active.remove(entry)
-                label = f"pid:{entry.process.pid}"
-                supervisor.handle(entry.item, payload, worker=label)
-                progressed = True
-            if not progressed:
-                time.sleep(0.002)
-    finally:
-        for entry in active:
-            entry.process.terminate()
-            entry.process.join()
-            entry.conn.close()
-
-
-def _poll_active(supervisor: _Supervisor, entry: _Active):
-    """One poll of an in-flight attempt; a payload ends the attempt."""
-    payload = None
-    if entry.conn.poll(0):
-        try:
-            payload = entry.conn.recv()
-        except (EOFError, OSError, pickle.UnpicklingError) as exc:
-            payload = _ShardFailure(
-                "crash", f"reply lost in transport: {type(exc).__name__}"
-            )
-    elif not entry.process.is_alive():
-        # The process died; give a raced final message one grace poll.
-        if entry.conn.poll(0.05):
-            try:
-                payload = entry.conn.recv()
-            except (EOFError, OSError, pickle.UnpicklingError) as exc:
-                payload = _ShardFailure(
-                    "crash",
-                    f"reply lost in transport: {type(exc).__name__}",
-                )
-        else:
-            payload = _ShardFailure(
-                "crash",
-                f"worker exited without a reply "
-                f"(exitcode {entry.process.exitcode})",
-            )
-    elif (
-        supervisor.shard_timeout is not None
-        and time.monotonic() - entry.started > supervisor.shard_timeout
-    ):
-        entry.process.terminate()
-        payload = _ShardFailure(
-            "timeout",
-            f"shard [{entry.item.lo},{entry.item.hi}) exceeded the "
-            f"{supervisor.shard_timeout}s deadline",
+        done, _ = wait(
+            active,
+            timeout=supervisor.next_ready_in(now) or None,
+            return_when=FIRST_COMPLETED,
         )
-    if payload is not None:
-        entry.process.join()
-        entry.conn.close()
-    return payload
+        for future in [f for f in active if f in done]:  # submission order
+            item = active.pop(future)
+            outcome = _classify(item, future)
+            worker = "inline"
+            if pool.process_mode and isinstance(outcome, _ShardReply):
+                worker = outcome.worker
+            supervisor.handle(item, outcome, worker=worker)

@@ -5,8 +5,8 @@ service: a warm :class:`~repro.align.parallel.WorkerPool` paid for once at
 startup, a micro-batching :class:`~repro.serve.coalescer.Coalescer` that
 packs concurrent requests into shards, a content-addressed
 :class:`~repro.serve.cache.AlignmentCache`, admission control with
-back-pressure (429 + ``Retry-After``), and crash recovery that rebuilds
-the pool and re-executes lost shards.  See ``docs/serving.md``.
+back-pressure (429 + ``Retry-After``), and crash recovery that re-executes
+a shard whose worker died.  See ``docs/serving.md``.
 """
 
 from .cache import (

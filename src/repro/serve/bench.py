@@ -249,7 +249,7 @@ def _measure_cold(
         pool = WorkerPool(workers, start_method=method)
         try:
             payload = (aligner, [(pattern, text)], True, False, False)
-            pool.submit(_serve_shard, payload).get(timeout=120)
+            pool.submit(_serve_shard, payload).result(timeout=120)
         finally:
             pool.close()
         samples.append(time.perf_counter_ns() - start)

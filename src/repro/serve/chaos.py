@@ -1,14 +1,14 @@
 """Serving-path chaos drill: kill a pool worker mid-request.
 
 The serving layer's availability claim is that a lost worker process
-costs latency, never correctness: the service detects the missing shard
-reply (deadline), rebuilds the pool, re-executes the shard inline, and
-the client still receives the byte-identical result.  This drill proves
-it end to end:
+costs latency, never correctness: the pool fails exactly the dead
+worker's shard with ``WorkerLost`` and respawns that worker, the service
+re-executes the shard inline, and the client still receives the
+byte-identical result.  This drill proves it end to end:
 
 1. compute the expected results serially (:func:`align_batch`);
 2. boot a process-mode service with caching off (every pair must be
-   *computed*, not remembered) and a throttled dispatch deadline;
+   *computed*, not remembered);
 3. submit the full workload, then SIGKILL a deterministically chosen
    pool worker while shards are in flight;
 4. gather every future and compare (score, cigar) lists against serial.
@@ -44,7 +44,7 @@ class ServeChaosReport:
     pairs: int
     killed_pid: Optional[int]
     recoveries: int
-    pool_generation: int
+    pool_respawns: int
     executor: str
     degraded_reason: Optional[str] = None
 
@@ -56,7 +56,7 @@ class ServeChaosReport:
             "pairs": self.pairs,
             "killed_pid": self.killed_pid,
             "recoveries": self.recoveries,
-            "pool_generation": self.pool_generation,
+            "pool_respawns": self.pool_respawns,
             "executor": self.executor,
             "degraded_reason": self.degraded_reason,
         }
@@ -68,7 +68,7 @@ class ServeChaosReport:
             f"completed, identical={self.identical}",
             f"  executor {self.executor}, killed pid {self.killed_pid}, "
             f"recoveries {self.recoveries}, "
-            f"pool generation {self.pool_generation}",
+            f"pool respawns {self.pool_respawns}",
         ]
         if self.degraded_reason:
             lines.append(f"  degraded: {self.degraded_reason}")
@@ -82,7 +82,6 @@ def run_serve_chaos(
     workers: int = 2,
     length: int = 96,
     error_rate: float = 0.08,
-    dispatch_timeout: float = 3.0,
     start_method: Optional[str] = None,
 ) -> ServeChaosReport:
     """Kill a worker under live serving load; verify nothing was lost."""
@@ -101,8 +100,7 @@ def run_serve_chaos(
         coalesce_window=0.001,
         coalesce_max_pairs=4,  # many small shards -> a live backlog to hit
         max_inflight=max(pairs * 2, 64),
-        dispatch_timeout=dispatch_timeout,
-        request_timeout=max(60.0, dispatch_timeout * pairs),
+        request_timeout=60.0,
         start_method=start_method,
     )
     service = AlignmentService(FullGmxAligner(), config=config)
@@ -122,7 +120,7 @@ def run_serve_chaos(
                 pairs=pairs,
                 killed_pid=None,
                 recoveries=service.shard_recoveries,
-                pool_generation=service.pool.generation,
+                pool_respawns=service.pool.respawns,
                 executor=service.pool.executor,
                 degraded_reason=(
                     "no process pool available; ran inline without a kill"
@@ -156,6 +154,6 @@ def run_serve_chaos(
         pairs=pairs,
         killed_pid=victim,
         recoveries=service.shard_recoveries,
-        pool_generation=service.pool.generation,
+        pool_respawns=service.pool.respawns,
         executor=service.pool.executor,
     )

@@ -139,14 +139,16 @@ def test_slow_fault_is_absorbed(node):
 
 def test_worker_pool_is_reused_across_shards(node):
     client, worker, aligner = node
-    generation = worker.pool.generation
+    pids = worker.pool.worker_pids()
     for seed in (1, 2, 3):
         status, _body = client.post(
             "/shard", _request(aligner, _pairs(seed=seed)).to_json()
         )
         assert status == 200
     assert worker.shards_done == 3
-    assert worker.pool.generation == generation  # warm, not rebuilt
+    # Warm: the same workers served every shard, none was replaced.
+    assert worker.pool.worker_pids() == pids
+    assert worker.pool.respawns == 0
 
 
 def test_direct_execute_checks_fingerprint():

@@ -11,17 +11,16 @@ HAS_PROCESSES = bool(multiprocessing.get_all_start_methods())
 
 @pytest.mark.chaos
 def test_worker_kill_mid_request_still_completes():
-    report = run_serve_chaos(
-        seed=7, pairs=24, workers=2, dispatch_timeout=3.0
-    )
+    report = run_serve_chaos(seed=7, pairs=24, workers=2)
     assert report.ok
     assert report.identical
     assert report.completed == 24
     if HAS_PROCESSES:
         assert report.killed_pid is not None
-        # The lost shard was detected and re-executed.
+        # The lost shard was detected and re-executed, and the killed
+        # worker was respawned.
         assert report.recoveries >= 1
-        assert report.pool_generation >= 2
+        assert report.pool_respawns >= 1
     else:
         assert report.degraded_reason
 

@@ -1,11 +1,22 @@
-"""WorkerPool lifecycle: warm reuse, rebuild, close, batch-API sharing."""
+"""WorkerPool lifecycle and supervision: warm reuse, worker loss,
+per-task deadlines, unpicklable replies, close, batch-API sharing."""
 
 import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
 from repro.align import FullGmxAligner, PoolError, WorkerPool, align_batch
-from repro.align.parallel import _align_shard, align_batch_sharded
+from repro.align.parallel import (
+    TaskTimeout,
+    UnpicklableReply,
+    WorkerLost,
+    _align_shard,
+    align_batch_sharded,
+)
+from repro.resilience import align_batch_resilient
 from repro.workloads import generate_pair_set
 
 HAS_PROCESSES = bool(multiprocessing.get_all_start_methods())
@@ -13,6 +24,22 @@ HAS_PROCESSES = bool(multiprocessing.get_all_start_methods())
 needs_processes = pytest.mark.skipif(
     not HAS_PROCESSES, reason="no multiprocessing start method available"
 )
+
+
+def _sleep_then_pid(seconds):
+    time.sleep(seconds)
+    return os.getpid()
+
+
+def _unpicklable_reply(_):
+    return lambda: None
+
+
+def _wait_until(predicate, seconds=30.0):
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
 
 
 def _payload(pairs=2):
@@ -31,9 +58,9 @@ class TestInlinePool:
 
     def test_submit_executes_inline(self):
         with WorkerPool(1) as pool:
-            handle = pool.submit(_align_shard, _payload())
-            assert handle.ready()
-            results, stats, _, worker, _ = handle.get()
+            future = pool.submit(_align_shard, _payload())
+            assert future.done()
+            results, stats, _, worker, _ = future.result()
             assert len(results) == 2
             assert worker.startswith("pid:")
 
@@ -42,9 +69,17 @@ class TestInlinePool:
             raise ValueError("inline failure")
 
         with WorkerPool(1) as pool:
-            handle = pool.submit(boom, None)
+            future = pool.submit(boom, None)
             with pytest.raises(ValueError, match="inline failure"):
-                handle.get()
+                future.result()
+
+    def test_inline_timeout_is_a_soft_deadline(self):
+        with WorkerPool(1) as pool:
+            future = pool.submit(_sleep_then_pid, 0.05, timeout=0.01)
+            assert future.done()
+            with pytest.raises(TaskTimeout):
+                future.result()
+            assert pool.submit(_sleep_then_pid, 0.0, timeout=30).result()
 
 
 class TestPoolLifecycle:
@@ -64,28 +99,85 @@ class TestPoolLifecycle:
     def test_warm_start_pays_generation_once(self):
         with WorkerPool(2) as pool:
             assert pool.process_mode
-            assert pool.generation == 1
-            pool.start()  # idempotent
-            assert pool.generation == 1
             pids = pool.worker_pids()
             assert len(pids) == 2
+            pool.start()  # idempotent
+            assert pool.worker_pids() == pids
             for _ in range(3):
-                pool.submit(_align_shard, _payload()).get(timeout=60)
-            # Reuse never recreated the pool.
-            assert pool.generation == 1
+                pool.submit(_align_shard, _payload()).result(timeout=60)
+            # Reuse never replaced a worker.
+            assert pool.respawns == 0
             assert pool.worker_pids() == pids
 
-    @needs_processes
-    def test_rebuild_replaces_workers(self):
+
+@needs_processes
+class TestWorkerSupervision:
+    """Each task has one owning worker: losses and deadlines stay local."""
+
+    def test_killed_busy_worker_fails_exactly_its_task(self):
+        with WorkerPool(3) as pool:
+            futures = [pool.submit(_sleep_then_pid, 1.5) for _ in range(3)]
+            _wait_until(lambda: all(f.running() for f in futures))
+            victim = pool.worker_pids()[0]
+            os.kill(victim, signal.SIGKILL)
+            lost, finished = [], []
+            for future in futures:
+                try:
+                    finished.append(future.result(timeout=60))
+                except WorkerLost:
+                    lost.append(future)
+            assert len(lost) == 1
+            assert len(finished) == 2 and victim not in finished
+            assert pool.respawns == 1
+            assert victim not in pool.worker_pids()
+            assert len(pool.worker_pids()) == 3
+            assert pool.submit(_sleep_then_pid, 0).result(timeout=60)
+
+    def test_killed_idle_worker_is_respawned(self):
         with WorkerPool(2) as pool:
-            before = set(pool.worker_pids())
-            pool.rebuild()
-            assert pool.rebuilds == 1
-            assert pool.generation == 2
-            after = set(pool.worker_pids())
-            assert after and after.isdisjoint(before)
-            results, *_ = pool.submit(_align_shard, _payload()).get(timeout=60)
+            victim = pool.worker_pids()[0]
+            os.kill(victim, signal.SIGKILL)
+            _wait_until(lambda: pool.respawns == 1)
+            assert victim not in pool.worker_pids()
+            results, *_ = pool.submit(_align_shard, _payload()).result(60)
             assert len(results) == 2
+
+    def test_timeout_kills_only_the_hung_worker(self):
+        with WorkerPool(2) as pool:
+            hung = pool.submit(_sleep_then_pid, 60, timeout=0.3)
+            healthy = pool.submit(_sleep_then_pid, 1.0)
+            with pytest.raises(TaskTimeout):
+                hung.result(timeout=30)
+            survivor = healthy.result(timeout=30)
+            assert pool.respawns == 1
+            assert survivor in pool.worker_pids()
+
+    def test_unpicklable_reply_is_typed_and_worker_survives(self):
+        with WorkerPool(2) as pool:
+            pids = pool.worker_pids()
+            # Occupy one worker so both follow-up tasks land on the other.
+            blocker = pool.submit(_sleep_then_pid, 1.5)
+            _wait_until(blocker.running)
+            with pytest.raises(UnpicklableReply):
+                pool.submit(_unpicklable_reply, None).result(timeout=30)
+            after = pool.submit(_sleep_then_pid, 0).result(timeout=30)
+            assert after != blocker.result(timeout=30)
+            assert after in pids
+            assert pool.respawns == 0
+            assert pool.worker_pids() == pids
+
+    def test_fault_free_resilient_run_uses_warm_workers(self):
+        pair_set = generate_pair_set("warm", 64, 0.08, 12, seed=5)
+        pairs = [(p.pattern, p.text) for p in pair_set]
+        aligner = FullGmxAligner()
+        batch = align_batch_resilient(
+            aligner, pairs, workers=2, shard_size=2, shard_timeout=30.0
+        )
+        assert batch.results == align_batch(aligner, pairs).results
+        workers = {shard.worker for shard in batch.telemetry.shards}
+        assert len(batch.telemetry.shards) == 6
+        assert len(workers) <= 2
+        assert all(worker.startswith("pid:") for worker in workers)
 
 
 class TestSharedPoolBatchAPI:
@@ -99,7 +191,7 @@ class TestSharedPoolBatchAPI:
         serial = align_batch(aligner, pairs)
 
         with WorkerPool(2) as pool:
-            generation = pool.generation
+            pids = pool.worker_pids()
             first = align_batch_sharded(
                 aligner, pairs, shard_size=3, pool=pool
             )
@@ -107,7 +199,8 @@ class TestSharedPoolBatchAPI:
                 aligner, pairs, shard_size=3, pool=pool
             )
             # The batch borrowed the pool: no churn, still open.
-            assert pool.generation == generation
+            assert pool.worker_pids() == pids
+            assert pool.respawns == 0
             assert not pool.closed
 
         for batch in (first, second):

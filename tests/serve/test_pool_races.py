@@ -1,19 +1,23 @@
-"""WorkerPool generation/rebuild races under concurrent submitters.
+"""WorkerPool worker-loss races under concurrent submitters.
 
-A rebuild abandons in-flight handles of the old pool by contract; these
-tests pin what *must* survive the race: the pool object itself stays
-usable, the generation counter moves monotonically, and post-rebuild
-submissions produce correct results — whatever the interleaving.
+A killed worker fails exactly the task it owned; these tests pin what
+*must* survive the race: every concurrent submit either completes with
+the correct result or fails with ``WorkerLost``, the pool respawns each
+lost worker exactly once, and later submissions still succeed — whatever
+the interleaving.
 """
 
 import multiprocessing
+import os
+import signal
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.align import FullGmxAligner, PoolError, WorkerPool
-from repro.align.parallel import _align_shard
+from repro.align import FullGmxAligner, WorkerPool
+from repro.align.parallel import WorkerLost, _align_shard
 from repro.workloads import generate_pair_set
 
 HAS_PROCESSES = bool(multiprocessing.get_all_start_methods())
@@ -29,12 +33,19 @@ def _payload(pairs=2, seed=3):
     return (FullGmxAligner(), shard, True, False, False)
 
 
+def _wait_for_respawns(pool, count, seconds=30.0):
+    deadline = time.monotonic() + seconds
+    while pool.respawns < count:
+        assert time.monotonic() < deadline, "lost worker never respawned"
+        time.sleep(0.01)
+
+
 @needs_processes
 @pytest.mark.slow
-class TestRebuildRaces:
-    def test_concurrent_submitters_during_rebuild(self):
-        """Submits racing a rebuild either complete or are abandoned —
-        never wedge the pool or corrupt another submitter's result."""
+class TestWorkerKillRaces:
+    def test_concurrent_submitters_during_worker_kill(self):
+        """Submits racing worker kills either complete or fail with
+        WorkerLost — never wedge the pool or corrupt another result."""
         pool = WorkerPool(2)
         payload = _payload()
         expected = _align_shard(payload)[0]
@@ -45,119 +56,61 @@ class TestRebuildRaces:
         def submitter():
             while not stop.is_set():
                 try:
-                    handle = pool.submit(_align_shard, payload)
-                    results = handle.get(timeout=5.0)[0]
-                except multiprocessing.TimeoutError:
-                    with lock:
-                        outcomes.append("abandoned")
-                    continue
-                except (PoolError, OSError, EOFError, BrokenPipeError):
-                    # The submit crossed a teardown window; acceptable.
-                    with lock:
-                        outcomes.append("torn")
-                    continue
-                assert results == expected  # a reply is never corrupted
+                    results = pool.submit(_align_shard, payload).result(30)[0]
+                except WorkerLost:
+                    outcome = "lost"
+                except Exception as exc:  # noqa: BLE001 - fails the test
+                    outcome = f"error: {exc!r}"
+                else:
+                    # A reply is never corrupted or handed to another task.
+                    outcome = "ok" if results == expected else "corrupt"
                 with lock:
-                    outcomes.append("ok")
+                    outcomes.append(outcome)
 
         threads = [threading.Thread(target=submitter) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave submitters and supervisor
         try:
             with pool:
                 for thread in threads:
                     thread.start()
-                for _ in range(3):
-                    time.sleep(0.2)  # let submits land mid-generation
-                    pool.rebuild()
-                # Wait for at least one post-rebuild round trip before
-                # stopping, so the test proves recovery, not just survival.
+                for kill in range(3):
+                    time.sleep(0.2)  # let submits land on the workers
+                    os.kill(pool.worker_pids()[kill % 2], signal.SIGKILL)
+                    _wait_for_respawns(pool, kill + 1)
+                # Wait for a post-kill round trip before stopping, so the
+                # test proves recovery, not just survival.
+                with lock:
+                    seen = len(outcomes)
                 deadline = time.monotonic() + 30.0
                 while time.monotonic() < deadline:
                     with lock:
-                        if "ok" in outcomes:
+                        if "ok" in outcomes[seen:]:
                             break
                     time.sleep(0.05)
                 stop.set()
                 for thread in threads:
-                    thread.join(timeout=30.0)
+                    thread.join(timeout=60.0)
                 assert not any(t.is_alive() for t in threads)
-                assert pool.rebuilds == 3
-                assert pool.generation == 4  # initial warm + 3 rebuilds
-                # The pool survived the race: a fresh submit still works.
-                handle = pool.submit(_align_shard, payload)
-                assert handle.get(timeout=30.0)[0] == expected
+                assert pool.respawns == 3
+                future = pool.submit(_align_shard, payload)
+                assert future.result(timeout=30.0)[0] == expected
         finally:
+            sys.setswitchinterval(interval)
             stop.set()
             pool.close()
-        assert outcomes.count("ok") >= 1
+        assert "ok" in outcomes[seen:]
+        assert set(outcomes) <= {"ok", "lost"}
 
-    def test_generation_visible_to_concurrent_readers(self):
-        """Generation observed by racing readers only ever increases."""
-        pool = WorkerPool(2)
-        observed = []
-        stop = threading.Event()
-
-        def reader():
-            while not stop.is_set():
-                observed.append(pool.generation)
-
-        thread = threading.Thread(target=reader)
-        try:
-            with pool:
-                thread.start()
-                for _ in range(3):
-                    time.sleep(0.05)
-                    pool.rebuild()
-                final = pool.generation
-                stop.set()
-                thread.join(timeout=10.0)
-        finally:
-            stop.set()
-            pool.close()
-        assert final == 4  # initial warm + 3 rebuilds
-        assert observed == sorted(observed)  # never goes backwards
-        assert observed[-1] <= final
-
-    def test_rebuild_after_close_stays_closed(self):
-        pool = WorkerPool(2)
-        pool.start()
-        pool.close()
-        pool.rebuild()  # must not resurrect a closed pool
-        assert pool.closed
-        with pytest.raises(PoolError):
-            pool.submit(_align_shard, _payload())
-
-    def test_concurrent_rebuilds_are_serialized(self):
-        """N racing rebuild() calls leave exactly one live pool."""
-        pool = WorkerPool(2)
-        barrier = threading.Barrier(3)
-
-        def rebuilder():
-            barrier.wait()
-            pool.rebuild()
-
-        threads = [threading.Thread(target=rebuilder) for _ in range(3)]
-        try:
-            with pool:
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30.0)
-                assert pool.rebuilds == 3
-                payload = _payload()
-                handle = pool.submit(_align_shard, payload)
-                expected = _align_shard(payload)[0]
-                assert handle.get(timeout=30.0)[0] == expected
-        finally:
-            pool.close()
-
-
-class TestInlineRebuild:
-    def test_inline_pool_rebuild_is_noop_but_safe(self):
-        pool = WorkerPool(1)
-        payload = _payload()
-        expected = _align_shard(payload)[0]
-        with pool:
-            assert pool.submit(_align_shard, payload).get()[0] == expected
-            pool.rebuild()
-            assert pool.rebuilds == 0  # nothing to tear down inline
-            assert pool.submit(_align_shard, payload).get()[0] == expected
+    def test_concurrent_kills_respawn_each_worker(self):
+        """Killing every worker at once respawns each exactly once."""
+        with WorkerPool(2) as pool:
+            before = pool.worker_pids()
+            for pid in before:
+                os.kill(pid, signal.SIGKILL)
+            _wait_for_respawns(pool, 2)
+            assert pool.respawns == 2
+            assert set(pool.worker_pids()).isdisjoint(before)
+            payload = _payload()
+            future = pool.submit(_align_shard, payload)
+            assert future.result(timeout=30.0)[0] == _align_shard(payload)[0]
