@@ -34,12 +34,18 @@
 # memory gate), the seqio streaming tests, the BENCH_stream.json
 # benchmark, and a scaled end-to-end conformance drill through the CLI
 # (1 Mbp reference x 100 kbp query, 50 Hirschberg-verified windows).
+# `bench-check` runs the repository benchmark's own tests (bench/tests)
+# and a 2-second run of each of its four workloads, failing when a run
+# reports failed operations — it catches a refactor that renames a
+# function the benchmark calls or patches.
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 COV_MIN ?= 80
 
-.PHONY: test test-fast test-slow test-chaos test-cov test-backends bench verify lint sanitize serve-test dist-test stream-test
+.PHONY: test test-fast test-slow test-chaos test-cov test-backends bench bench-check verify lint sanitize serve-test dist-test stream-test
+
+BENCH_WORKLOADS = short-pool long-score serve-mixed stream-scan
 
 test:
 	$(PYTEST) -x -q
@@ -92,6 +98,15 @@ stream-test:
 
 bench:
 	$(PYTEST) -q benchmarks
+
+bench-check:
+	$(PYTHON) -m pytest -q bench/tests
+	@for workload in $(BENCH_WORKLOADS); do \
+		echo "bench/run.py --workload $$workload"; \
+		python3 bench/run.py --workload $$workload --seed 1 --seconds 2 \
+			| tail -n 1 | $(PYTHON) -c 'import json, sys; r = json.loads(sys.stdin.read()); print(r); assert r["failed"] == 0 and r["attempted"] > 0' \
+			|| exit 1; \
+	done
 
 verify:
 	PYTHONPATH=src $(PYTHON) -m repro verify

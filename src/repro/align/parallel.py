@@ -1,25 +1,37 @@
-"""Sharded parallel batch alignment (inter-sequence parallelism, §7.2).
+"""Sharded batch alignment (inter-sequence parallelism, §7.2).
 
 The paper scales GMX across pairs, not within one alignment: 16 cores,
 each with a private GMX unit, split a read set and meet only at the memory
 controllers.  This module is the software analogue for the functional
-harness — it partitions any pair iterable into shards, fans the shards out
-over a ``multiprocessing`` pool, and merges per-shard results and
-:class:`~repro.align.base.KernelStats` back in input order, so a parallel
-run is observationally identical to :func:`repro.align.batch.align_batch`
-run serially (same results, same stats, same ordering).
+harness, and the one local batch driver behind
+:func:`~repro.align.batch.align_batch`, :func:`align_batch_sharded` and
+:func:`repro.resilience.align_batch_resilient`:
 
-Three properties the engine guarantees:
+* **one shard body** — :func:`_align_shard` aligns a shard's pairs in
+  order and returns a :class:`ShardReply`.  It runs as a
+  :class:`WorkerPool` task (in a worker process, or inline), and the
+  alignment service and dist nodes call it too;
+* **one dispatch loop** — :func:`run_batch` cuts the input into shards
+  and :func:`_drive` keeps them in flight on a pool, settles every
+  finished task through a *policy*, and :func:`merge_shards` merges the
+  completed runs in input order;
+* **policies** — a plain batch uses :class:`FailFast` (the first failure
+  propagates unchanged); the resilience policy
+  (:mod:`repro.resilience.engine`) adds retry, bisection, fallback,
+  quarantine, the checkpoint journal and fault arming on the same loop.
+
+Three properties the driver guarantees:
 
 * **Determinism** — results and merged stats are byte-identical for any
-  worker count, including the in-process fallback.  Shards are merged in
+  worker count, executor and policy that recovers.  Runs are merged in
   input order and every stat reduction is order-insensitive.
 * **Streaming** — the input may be a generator (e.g.
   :func:`repro.workloads.seqio.iter_pairs`); shards are cut lazily with
-  ``islice`` and the dataset is never materialised in the parent.
+  ``islice`` and at most two per worker are in flight, so the dataset is
+  never materialised in the parent.
 * **Graceful degradation** — ``workers=1``, a non-picklable aligner, or a
-  platform without ``fork``/``spawn`` all fall back to a deterministic
-  in-process execution of the same sharded code path.
+  platform without ``fork``/``spawn`` all run the same loop on an
+  in-process pool.
 
 Every run records a :class:`BatchTelemetry`: wall time, per-shard timings,
 worker utilisation, and pairs/second.  These are *measured host* numbers —
@@ -30,22 +42,25 @@ modelled cycle counts, which remain the source of all reported figures.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import pickle
 import threading
 import time
+import zlib
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from multiprocessing.reduction import ForkingPickler
 from typing import (
-    Callable, Deque, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
+    Callable, Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+    Sequence, Tuple,
 )
 
 from ..analysis.sanitizer import runtime as dsan
 from ..obs import runtime as obs
-from .base import Aligner, AlignmentResult, KernelStats, ResilienceCounters
+from .base import Aligner, AlignmentResult, ResilienceCounters
 from .batch import BatchResult, PairLike, _as_pair
 
 #: Pairs per shard when the caller does not choose (big enough to amortise
@@ -180,53 +195,134 @@ def iter_shards(
         yield shard
 
 
-#: A worker's observability freight: drained span dicts + metrics payload.
-ObsBuffers = Tuple[List[dict], Optional[dict]]
+def pair_checksum(pattern: str, text: str) -> int:
+    """Order-sensitive checksum of one pair (CRC32 over both sequences)."""
+    return zlib.crc32(pattern.encode() + b"\x00" + text.encode())
 
 
-def _run_shard_pairs(
-    aligner: Aligner,
-    shard: List[Tuple[str, str]],
-    traceback: bool,
-    validate: bool,
-) -> Tuple[List[AlignmentResult], KernelStats]:
-    results: List[AlignmentResult] = []
-    with obs.span("shard.align", pairs=len(shard)):
-        for pattern, text in shard:
-            result = aligner.align(pattern, text, traceback=traceback)
-            if validate and result.alignment is not None:
-                result.alignment.validate()
-            results.append(result)
-    obs.inc("batch.shards")
-    return results, KernelStats.merged(result.stats for result in results)
+def shard_checksum(pairs: Iterable[Tuple[str, str]]) -> int:
+    """Order-sensitive checksum of a shard's pairs.
 
-
-def _align_shard(
-    payload: Tuple[Aligner, List[Tuple[str, str]], bool, bool, bool],
-) -> Tuple[List[AlignmentResult], KernelStats, float, str, ObsBuffers]:
-    """Worker body: align one shard and pre-merge its stats.
-
-    Module-level so it pickles under every multiprocessing start method.
-    The last payload element asks the worker to capture observability for
-    an enabled parent: spans and metrics recorded during the shard come
-    back as picklable buffers (see :meth:`repro.obs.SpanRecorder.drain`)
-    and the parent absorbs them into its own trace.  When the shard runs
-    in the parent process (inline/serial executors), recording already
-    targets the parent's recorder and the buffers stay empty.
+    The shard body reports it for the pairs it actually aligned, so a
+    caller holding the pristine pairs detects data corrupted in flight.
     """
-    aligner, shard, traceback, validate, want_obs = payload
+    checksum = 0
+    for pattern, text in pairs:
+        checksum = (
+            checksum * 1000003 + pair_checksum(pattern, text)
+        ) & 0xFFFFFFFF
+    return checksum
+
+
+@dataclass
+class ShardTask:
+    """The work order of one shard: what :func:`_align_shard` runs.
+
+    Attributes:
+        pairs: the shard's ``(pattern, text)`` pairs, in input order.
+        lo: batch index of the first pair.
+        traceback / validate: as in :func:`~repro.align.batch.align_batch`.
+        obs: the parent records observability; a shard running in a
+            worker process captures its spans and metrics and ships them
+            back in the reply.
+        guard: a supervised attempt's fault and cross-check hooks, set by
+            the resilience policy (see :mod:`repro.resilience.engine`);
+            ``None`` for a plain shard.
+    """
+
+    pairs: Sequence[Tuple[str, str]]
+    lo: int = 0
+    traceback: bool = True
+    validate: bool = False
+    obs: bool = False
+    guard: Optional[object] = None
+
+
+@dataclass
+class ShardReply:
+    """The outcome of one shard, as it comes back from a worker.
+
+    Attributes:
+        results: per-pair results, in shard order.
+        checksum: :func:`shard_checksum` of the pairs actually aligned.
+        elapsed: seconds spent in the shard body.
+        worker: ``pid:<n>`` of the process that ran the shard.
+        unfired: ids of the guard's armed faults that changed nothing.
+        spans / metrics: observability captured in a worker process.
+    """
+
+    results: List[AlignmentResult]
+    checksum: int
+    elapsed: float
+    worker: str
+    unfired: Tuple[int, ...] = ()
+    spans: List[dict] = field(default_factory=list)
+    metrics: Optional[dict] = None
+
+
+def _align_shard(payload: Tuple[Aligner, ShardTask]) -> ShardReply:
+    """The one shard body: align a shard's pairs in order.
+
+    Every path that aligns a shard runs this function as a
+    :class:`WorkerPool` task or calls it directly — plain and resilient
+    batches, the alignment service and dist nodes — so all of them run
+    the code the conformance and chaos suites prove deterministic.  It is
+    module-level so it pickles under every start method, and it is their
+    one dsan worker root.
+
+    A plain shard (no guard) records a ``shard.align`` span and counts
+    ``batch.shards``.  A supervised attempt records ``shard.attempt``;
+    its guard first enacts the worker and data faults armed on the
+    attempt, then wraps each pair in its hardware fault hooks and trace
+    capture and cross-checks each result, and finally may poison the
+    reply.
+    """
+    aligner, task = payload
     start = time.perf_counter()
-    buffers: ObsBuffers = ([], None)
-    if want_obs and not obs.owns_recorder():
-        with obs.capture() as (recorder, registry):
-            results, stats = _run_shard_pairs(
-                aligner, shard, traceback, validate
+    guard = task.guard
+    capture = task.obs and not obs.owns_recorder()
+    with obs.capture() if capture else contextlib.nullcontext() as captured:
+        pairs = task.pairs if guard is None else guard.enact(task.pairs)
+        if guard is None:
+            span = obs.span("shard.align", pairs=len(pairs))
+        else:
+            span = obs.span(
+                "shard.attempt", lo=task.lo, hi=task.lo + len(pairs),
+                armed=len(guard.armed),
             )
-        buffers = (recorder.drain(), registry.snapshot().to_dict())
-    else:
-        results, stats = _run_shard_pairs(aligner, shard, traceback, validate)
-    elapsed = time.perf_counter() - start
-    return results, stats, elapsed, f"pid:{os.getpid()}", buffers
+        results: List[AlignmentResult] = []
+        with span:
+            for offset, (pattern, text) in enumerate(pairs):
+                if guard is None:
+                    result = aligner.align(
+                        pattern, text, traceback=task.traceback
+                    )
+                else:
+                    with guard.striking(aligner, offset) as traces:
+                        result = aligner.align(
+                            pattern, text, traceback=task.traceback
+                        )
+                if task.validate and result.alignment is not None:
+                    result.alignment.validate()
+                if guard is not None:
+                    guard.vet(
+                        aligner, pattern, text, result, task.lo + offset,
+                        traces,
+                    )
+                results.append(result)
+        if guard is None:
+            obs.inc("batch.shards")
+    reply = ShardReply(
+        results=results,
+        checksum=shard_checksum(pairs),
+        elapsed=time.perf_counter() - start,
+        worker=f"pid:{os.getpid()}",
+    )
+    if capture:
+        recorder, registry = captured
+        reply.spans = recorder.drain()
+        reply.metrics = registry.snapshot().to_dict()
+    return reply if guard is None else guard.deliver(reply)
 
 
 def _pickling_failure(aligner: Aligner) -> Optional[str]:
@@ -665,126 +761,279 @@ def align_batch_sharded(
     """
     if workers is None:
         workers = pool.workers if pool is not None else (os.cpu_count() or 1)
+    return run_batch(
+        aligner, pairs,
+        workers=workers, shard_size=shard_size,
+        traceback=traceback, validate=validate,
+        pool=pool, start_method=start_method,
+        caller="align_batch_sharded",
+    )
+
+
+@dataclass
+class ShardItem:
+    """A run of the batch's pairs awaiting dispatch.
+
+    A cut shard, a retry of it, or a bisected half.  ``attempt`` and
+    ``armed`` are the policy's bookkeeping; ``ready_at`` is the
+    monotonic time before which the loop must not dispatch it.
+    """
+
+    lo: int
+    pairs: List[Tuple[str, str]]
+    attempt: int = 0
+    ready_at: float = 0.0
+    armed: tuple = ()
+
+    @property
+    def hi(self) -> int:
+        return self.lo + len(self.pairs)
+
+
+@dataclass
+class ShardDone:
+    """A completed run of pairs ``[lo, hi)``, merged in input order."""
+
+    lo: int
+    hi: int
+    results: List[AlignmentResult]
+    elapsed: float = 0.0
+    worker: str = ""
+
+
+def shard_done(item: ShardItem, reply: ShardReply, inline: bool) -> ShardDone:
+    """Accept a shard's reply: absorb its observability, record it done."""
+    _absorb_obs(reply.spans, reply.metrics)
+    return ShardDone(
+        item.lo, item.hi, reply.results, reply.elapsed,
+        "inline" if inline else reply.worker,
+    )
+
+
+class FailFast:
+    """The policy of a plain batch: the first failure propagates unchanged.
+
+    A policy tells :func:`run_batch` how to treat each shard; the
+    resilience policy (:mod:`repro.resilience.engine`) has the same
+    members:
+
+    * ``span`` / ``result_type`` — the batch span and the result class;
+    * ``timeout`` — the per-task deadline given to :meth:`WorkerPool.submit`;
+    * ``executor(pool, workers)`` — the telemetry executor label;
+    * ``bind(aligner, pool)`` — the aligner the tasks carry;
+    * ``resume(item)`` — a :class:`ShardDone` replayed without running
+      the item, or ``None``;
+    * ``task(item, task)`` — the :class:`ShardTask` to submit for it;
+    * ``settle(item, future, inline)`` — the outcomes of a finished task:
+      each a :class:`ShardDone` to keep or a :class:`ShardItem` to queue;
+    * ``finish(batch, telemetry)`` — accounting after the merge.
+    """
+
+    span = "batch.align"
+    result_type = BatchResult
+    timeout: Optional[float] = None
+
+    def executor(self, pool: WorkerPool, workers: int) -> str:
+        return pool.method or ("inline" if workers > 1 else "serial")
+
+    def bind(self, aligner: Aligner, pool: WorkerPool) -> Aligner:
+        return aligner
+
+    def resume(self, item: ShardItem) -> Optional[ShardDone]:
+        return None
+
+    def task(self, item: ShardItem, task: ShardTask) -> ShardTask:
+        return task
+
+    def settle(self, item: ShardItem, future: Future, inline: bool):
+        return [shard_done(item, future.result(), inline)]
+
+    def finish(self, batch: BatchResult, telemetry: BatchTelemetry) -> None:
+        obs.inc("batch.runs")
+        obs.inc("batch.pairs", batch.pairs)
+
+
+def run_batch(
+    aligner: Aligner,
+    pairs: Iterable[PairLike],
+    *,
+    workers: int,
+    shard_size: Optional[int],
+    traceback: bool,
+    validate: bool,
+    pool: Optional[WorkerPool] = None,
+    start_method: Optional[str] = None,
+    policy=None,
+    caller: str,
+) -> BatchResult:
+    """The one local batch driver behind every ``align_batch*`` entry point.
+
+    Cuts ``pairs`` into shards, runs them through :func:`_drive` on a
+    pool, and merges the completions in input order.  ``workers > 1``
+    with a picklable aligner fans out over ``pool`` when it is a live
+    process pool, or over an ephemeral pool of ``workers`` processes
+    when no pool is given; anything else (one worker, an unpicklable
+    aligner, a closed or inline ``pool``) runs on an in-process pool.
+    ``policy`` (default :class:`FailFast`) decides what a failed shard
+    means; ``caller`` names the batch for the sanitizer's leak check.
+    """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     if shard_size is None:
         shard_size = DEFAULT_SHARD_SIZE
-    shards = iter_shards(pairs, shard_size)
-
-    batch = BatchResult()
+    if policy is None:
+        policy = FailFast()
+    fallback_reason = _pickling_failure(aligner) if workers > 1 else None
+    fan_out = workers > 1 and fallback_reason is None
+    owned = None
+    if not (fan_out and pool is not None and pool.process_mode
+            and not pool.closed):
+        size = workers if fan_out and pool is None else 1
+        pool = owned = WorkerPool(size, start_method=start_method)
     telemetry = BatchTelemetry(
         workers=workers,
         shard_size=shard_size,
+        executor=policy.executor(pool, workers),
+        fallback_reason=fallback_reason,
         backend=getattr(getattr(aligner, "backend", None), "name", None),
     )
+    task_aligner = policy.bind(aligner, pool)
+    batch = policy.result_type()
     start = time.perf_counter()
-
-    pickling_failure = _pickling_failure(aligner) if workers > 1 else None
-    use_pool = workers > 1 and pickling_failure is None
-    if use_pool:
-        if pool is not None:
-            use_pool = pool.process_mode and not pool.closed
-            method = pool.method
-        else:
-            method = _resolve_start_method(start_method)
-            use_pool = method is not None
     token = dsan.batch_begin()
     try:
-        with obs.span("batch.align", workers=workers):
-            if use_pool:
-                telemetry.executor = method
-                _run_pool(
-                    aligner, shards, workers, method, traceback, validate,
-                    batch, telemetry, pool=pool,
-                )
-            else:
-                telemetry.executor = "inline" if workers > 1 else "serial"
-                telemetry.fallback_reason = pickling_failure
-                for index, shard in enumerate(shards):
-                    results, stats, seconds, _, _ = _align_shard(
-                        (aligner, shard, traceback, validate, False)
-                    )
-                    _merge_shard(batch, telemetry, index, results, stats,
-                                 seconds, worker="inline")
+        with obs.span(policy.span, workers=workers):
+            completed, total = _drive(
+                task_aligner, iter_shards(pairs, shard_size), pool, policy,
+                traceback=traceback, validate=validate,
+            )
     finally:
-        dsan.batch_end(token, "align_batch_sharded")
-    obs.inc("batch.runs")
-    obs.inc("batch.pairs", batch.pairs)
-
+        if owned is not None:
+            owned.close()
+        dsan.batch_end(token, caller)
+    merge_shards(batch, completed, total, telemetry)
+    policy.finish(batch, telemetry)
     telemetry.wall_seconds = time.perf_counter() - start
     batch.telemetry = telemetry
     return batch
 
 
-def _run_pool(
+def _drive(
     aligner: Aligner,
     shards: Iterator[List[Tuple[str, str]]],
-    workers: int,
-    method: str,
+    pool: WorkerPool,
+    policy,
+    *,
     traceback: bool,
     validate: bool,
-    batch: BatchResult,
-    telemetry: BatchTelemetry,
-    pool: Optional[WorkerPool] = None,
-) -> None:
-    """Fan shards out over a pool; merge completions in input order.
+) -> Tuple[List[ShardDone], int]:
+    """The one dispatch loop: keep shards in flight until the batch drains.
 
-    With ``pool=None`` an ephemeral :class:`WorkerPool` is created and
-    closed around the batch (the historical one-shot behaviour); a caller
-    pool is borrowed and left open — the warm-pool path the alignment
-    service depends on.
+    A process pool gets up to two tasks per worker in flight, so a
+    generator input is consumed only as shards complete; an inline pool
+    runs one task at a time, each settled before the next is cut, so
+    inline runs replay exactly.  Queued items whose ``ready_at`` has
+    come go before new shards.  Returns the completed runs and the
+    number of pairs cut.
     """
-    owns_pool = pool is None
-    if owns_pool:
-        pool = WorkerPool(workers, start_method=method)
-    payloads = (
-        (aligner, shard, traceback, validate, obs.enabled())
-        for shard in shards
-    )
+    window = 2 * pool.workers if pool.process_mode else 1
+    inline = not pool.process_mode
+    completed: List[ShardDone] = []
+    queued: List[ShardItem] = []
+    active: Dict[Future, ShardItem] = {}
+    total = 0
+    exhausted = False
     try:
-        # imap preserves submission order and consumes the payload
-        # generator lazily, so streaming inputs stay streaming.
-        for index, (results, stats, seconds, worker, buffers) in enumerate(
-            pool.imap(_align_shard, payloads)
-        ):
-            _absorb_obs_buffers(buffers)
-            _merge_shard(
-                batch, telemetry, index, results, stats, seconds,
-                worker=worker,
+        while True:
+            now = time.monotonic()
+            while len(active) < window:
+                due = [item for item in queued if item.ready_at <= now]
+                if due:
+                    item = min(due, key=lambda entry: entry.ready_at)
+                    queued.remove(item)
+                else:
+                    shard = None if exhausted else next(shards, None)
+                    if shard is None:
+                        exhausted = True
+                        break
+                    item = ShardItem(total, shard)
+                    total += len(shard)
+                done = policy.resume(item)
+                if done is not None:
+                    completed.append(done)
+                    continue
+                task = policy.task(item, ShardTask(
+                    item.pairs, lo=item.lo, traceback=traceback,
+                    validate=validate, obs=obs.enabled(),
+                ))
+                future = pool.submit(
+                    _align_shard, (aligner, task), timeout=policy.timeout
+                )
+                active[future] = item
+            wait_s = max(
+                0.0, min((item.ready_at for item in queued), default=now) - now
             )
+            if not active:
+                if exhausted and not queued:
+                    return completed, total
+                time.sleep(min(0.05, wait_s or 0.001))
+                continue
+            ready, _ = wait(
+                active, timeout=wait_s or None, return_when=FIRST_COMPLETED
+            )
+            for future in [f for f in active if f in ready]:  # submit order
+                item = active.pop(future)
+                for outcome in policy.settle(item, future, inline):
+                    if isinstance(outcome, ShardDone):
+                        completed.append(outcome)
+                    else:
+                        queued.append(outcome)
     finally:
-        if owns_pool:
-            pool.close()
+        for future in active:
+            future.cancel()
 
 
-def _absorb_obs_buffers(buffers: ObsBuffers) -> None:
+def merge_shards(
+    batch,
+    completed: Iterable[ShardDone],
+    total: int,
+    telemetry: Optional[BatchTelemetry] = None,
+) -> None:
+    """Merge completed runs into ``batch`` in input order.
+
+    Results and stats accumulate run by run; ``telemetry`` (optional)
+    gains one :class:`ShardTelemetry` per run.  Raises ``RuntimeError``
+    unless the runs tile ``[0, total)`` exactly.
+    """
+    cursor = 0
+    for index, done in enumerate(sorted(completed, key=lambda d: d.lo)):
+        if done.lo != cursor:
+            raise RuntimeError(
+                f"batch lost coverage: gap before pair {done.lo} "
+                f"(have up to {cursor})"
+            )
+        cursor = done.hi
+        batch.results.extend(done.results)
+        for result in done.results:
+            batch.stats.merge(result.stats)
+        if telemetry is not None:
+            telemetry.shards.append(ShardTelemetry(
+                index=index, pairs=len(done.results),
+                wall_seconds=done.elapsed, worker=done.worker,
+            ))
+    if cursor != total:
+        raise RuntimeError(
+            f"batch lost coverage: completed {cursor} of {total} pairs"
+        )
+
+
+def _absorb_obs(spans: List[dict], metrics: Optional[dict]) -> None:
     """Merge a worker's drained spans/metrics into the parent's recorders."""
-    span_buffer, metrics_payload = buffers
     if not obs.enabled():
         return
-    if span_buffer:
-        obs.recorder().absorb(span_buffer)
-    if metrics_payload:
+    if spans:
+        obs.recorder().absorb(list(spans))
+    if metrics:
         from ..obs.metrics import snapshot_from_dict
 
-        obs.metrics().absorb(snapshot_from_dict(metrics_payload))
-
-
-def _merge_shard(
-    batch: BatchResult,
-    telemetry: BatchTelemetry,
-    index: int,
-    results: List[AlignmentResult],
-    stats: KernelStats,
-    seconds: float,
-    *,
-    worker: str,
-) -> None:
-    batch.results.extend(results)
-    batch.stats.merge(stats)
-    telemetry.shards.append(
-        ShardTelemetry(
-            index=index, pairs=len(results), wall_seconds=seconds,
-            worker=worker,
-        )
-    )
+        obs.metrics().absorb(snapshot_from_dict(metrics))

@@ -70,9 +70,6 @@ __all__ = [
 #: subclass is a root — backends execute inside every worker).
 DEFAULT_ROOTS = (
     "align/parallel.py::_align_shard",
-    "resilience/engine.py::_execute_item",
-    "serve/service.py::_serve_shard",
-    "dist/worker.py::_execute_dist_shard",
     "stream/pipeline.py::_chunk_align_body",
 )
 

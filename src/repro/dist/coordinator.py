@@ -45,19 +45,22 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 from urllib.parse import urlsplit
 
-from ..align.base import Aligner, KernelStats
+from ..align.base import Aligner, KernelStats, aligner_fingerprint
 from ..align.batch import BatchResult, PairLike
 from ..align.parallel import (
     DEFAULT_SHARD_SIZE,
     BatchTelemetry,
+    ShardDone,
+    ShardTask,
     ShardTelemetry,
-    _absorb_obs_buffers,
+    _absorb_obs,
     _align_shard,
+    merge_shards,
+    shard_checksum,
 )
 from ..common.retry import RetryPolicy
 from ..obs import runtime as obs
-from ..resilience.checkpoint import CheckpointJournal
-from ..serve.cache import aligner_fingerprint
+from ..resilience.checkpoint import CheckpointJournal, journal_header
 from .packing import PackedShard, pack_shards, pick_node
 from .protocol import (
     DistError,
@@ -65,7 +68,6 @@ from .protocol import (
     ProtocolError,
     ShardCompletion,
     ShardRequest,
-    shard_checksum,
 )
 
 
@@ -264,12 +266,7 @@ class DistCoordinator:
     ) -> None:
         self.aligner = aligner
         self.config = config if config is not None else DistConfig()
-        self.journal_meta = dict(journal_meta) if journal_meta else {}
-        if {"aligner", "traceback", "plan"} & set(self.journal_meta):
-            raise DistError(
-                "journal_meta may not override the reserved keys "
-                "aligner/traceback/plan"
-            )
+        self.journal_meta = journal_meta
         self.nodes: Dict[str, _NodeState] = {}
         for handle in nodes:
             if handle.name in self.nodes:
@@ -401,15 +398,12 @@ class DistCoordinator:
         if self.checkpoint:
             journal = CheckpointJournal(
                 self.checkpoint,
-                {
-                    "aligner": self.fingerprint,
-                    "traceback": traceback,
-                    "plan": None,
-                    **self.journal_meta,
-                },
+                journal_header(
+                    self.aligner, traceback=traceback, extra=self.journal_meta
+                ),
             )
         counters = DistCounters(shards=len(shards))
-        results_by_shard: Dict[int, list] = {}
+        results_by_shard: Dict[int, ShardDone] = {}
         telemetry = BatchTelemetry(
             workers=max(1, len(self.nodes)),
             shard_size=config.shard_size or DEFAULT_SHARD_SIZE,
@@ -428,7 +422,9 @@ class DistCoordinator:
                     shard.lo, shard.hi, checksums[shard.shard_id]
                 )
                 if cached is not None:
-                    results_by_shard[shard.shard_id] = cached[0]
+                    results_by_shard[shard.shard_id] = ShardDone(
+                        shard.lo, shard.hi, cached[0]
+                    )
                     counters.resumed_shards += 1
 
         pending: "deque[Tuple[float, int]]" = deque(
@@ -456,7 +452,9 @@ class DistCoordinator:
 
         def _record(shard: PackedShard, results, epoch: int, node: str):
             nonlocal done
-            results_by_shard[shard.shard_id] = results
+            results_by_shard[shard.shard_id] = ShardDone(
+                shard.lo, shard.hi, results
+            )
             if journal is not None:
                 journal.record(
                     shard.lo,
@@ -497,17 +495,17 @@ class DistCoordinator:
 
         def _run_local(shard: PackedShard) -> None:
             epochs[shard.shard_id] += 1
-            results, _stats, elapsed, worker, _buffers = _align_shard(
-                (self.aligner, shard.pairs, traceback, False, False)
-            )
-            _record(shard, results, epochs[shard.shard_id], "local")
+            reply = _align_shard((self.aligner, ShardTask(
+                shard.pairs, lo=shard.lo, traceback=traceback
+            )))
+            _record(shard, reply.results, epochs[shard.shard_id], "local")
             counters.local_shards += 1
             telemetry.shards.append(
                 ShardTelemetry(
                     index=shard.shard_id,
                     pairs=shard.size,
-                    wall_seconds=elapsed,
-                    worker=f"local:{worker}",
+                    wall_seconds=reply.elapsed,
+                    worker=f"local:{reply.worker}",
                 )
             )
             record = self.ledger.get(shard.shard_id)
@@ -653,26 +651,21 @@ class DistCoordinator:
                 draining=True,
             )
 
-        results: List = []
-        stats = KernelStats()
-        for shard in shards:
-            shard_results = results_by_shard[shard.shard_id]
-            results.extend(shard_results)
-            for result in shard_results:
-                stats.merge(result.stats)
-        telemetry.wall_seconds = time.perf_counter() - started_wall
         with self._node_lock:
             nodes = {
                 name: state.to_dict() for name, state in self.nodes.items()
             }
-        return DistBatchResult(
-            results=results,
-            stats=stats,
+        batch = DistBatchResult(
             telemetry=telemetry,
             counters=counters,
             nodes=nodes,
             ledger=[self.ledger[key] for key in sorted(self.ledger)],
         )
+        merge_shards(
+            batch, results_by_shard.values(), sum(s.size for s in shards)
+        )
+        telemetry.wall_seconds = time.perf_counter() - started_wall
+        return batch
 
     def _handle_event(
         self,
@@ -746,7 +739,7 @@ class DistCoordinator:
                     worker=f"{lease.node}#{completion.incarnation}",
                 )
             )
-            _absorb_obs_buffers((completion.spans, completion.metrics))
+            _absorb_obs(completion.spans, completion.metrics)
             if record is not None and record.outcome == "armed":
                 record.outcome = "absorbed"
                 record.detail = f"completed within lease on {lease.node}"

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..align.base import AlignmentResult
+from ..align.parallel import shard_checksum  # noqa: F401 - public re-export
 from ..resilience.checkpoint import deserialize_result, serialize_result
 
 
@@ -161,7 +162,7 @@ class ShardCompletion:
     ``epoch`` echoes the lease the node worked under — the coordinator's
     exactly-once staleness test.  ``spans``/``metrics`` are the node's
     drained observability buffers (see
-    :func:`repro.align.parallel._absorb_obs_buffers`).
+    :func:`repro.align.parallel._absorb_obs`).
     """
 
     shard_id: int
@@ -213,15 +214,3 @@ class ShardCompletion:
             ValueError,
         ) as exc:
             raise ProtocolError(f"malformed shard completion: {exc}") from exc
-
-
-def shard_checksum(pairs: List[Tuple[str, str]]) -> int:
-    """Order-sensitive CRC over a shard's pairs (mirrors the engine's)."""
-    from ..resilience.injectors import pair_checksum
-
-    checksum = 0
-    for pattern, text in pairs:
-        checksum = (
-            checksum * 1000003 + pair_checksum(pattern, text)
-        ) & 0xFFFFFFFF
-    return checksum

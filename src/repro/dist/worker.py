@@ -36,29 +36,12 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterator, Optional, Tuple
 
-from ..align.base import Aligner
-from ..align.parallel import WorkerPool, _align_shard
-from ..serve.cache import aligner_fingerprint
-from .protocol import (
-    DistError,
-    ProtocolError,
-    ShardCompletion,
-    ShardRequest,
-    shard_checksum,
-)
+from ..align.base import Aligner, aligner_fingerprint
+from ..align.parallel import ShardTask, WorkerPool, _align_shard
+from .protocol import DistError, ProtocolError, ShardCompletion, ShardRequest
 
 #: Refuse request bodies larger than this.
 MAX_BODY_BYTES = 32 * 1024 * 1024
-
-
-def _execute_dist_shard(payload):
-    """Worker-pool entry point for one dist shard (dsan root).
-
-    Module-level so it pickles under every start method; delegates to the
-    shared shard body so dist nodes inherit the exact kernel semantics —
-    and the exact worker-purity guarantees — of the local engines.
-    """
-    return _align_shard(payload)
 
 
 class DistWorker:
@@ -105,18 +88,14 @@ class DistWorker:
                 f"aligner fingerprint mismatch: coordinator sent "
                 f"{request.fingerprint!r}, node runs {self.fingerprint!r}"
             )
-        want_obs = request.want_obs and self.pool.process_mode
-        payload = (
-            self.aligner,
+        task = ShardTask(
             request.pairs,
-            request.traceback,
-            False,
-            want_obs,
+            lo=request.lo,
+            traceback=request.traceback,
+            obs=request.want_obs and self.pool.process_mode,
         )
         started = time.perf_counter()
-        future = self.pool.submit(_execute_dist_shard, payload)
-        results, _stats, _elapsed, _worker, buffers = future.result()
-        spans, metrics = buffers
+        reply = self.pool.submit(_align_shard, (self.aligner, task)).result()
         with self._lock:
             self.shards_done += 1
         return ShardCompletion(
@@ -124,11 +103,11 @@ class DistWorker:
             epoch=request.epoch,
             node=self.node,
             incarnation=self.incarnation,
-            checksum=shard_checksum(request.pairs),
-            results=results,
+            checksum=reply.checksum,
+            results=reply.results,
             elapsed=time.perf_counter() - started,
-            spans=spans,
-            metrics=metrics,
+            spans=reply.spans,
+            metrics=reply.metrics,
         )
 
 

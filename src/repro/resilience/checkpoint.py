@@ -10,9 +10,14 @@ is identical to an uninterrupted run.
 Journal layout (one JSON object per line)::
 
     {"kind": "repro-batch-journal", "version": 1, "aligner": ...,
-     "plan": ..., "traceback": ...}                       # header
+     "plan": ..., "traceback": ..., **extra}              # header
     {"lo": 0, "hi": 4, "checksum": ..., "results": [...],
      "quarantined": [...]}                                # one per item
+
+The header (:func:`journal_header`) names the run: the aligner's
+:func:`~repro.align.base.aligner_fingerprint` (class *and*
+configuration), the traceback flag, the fault plan's fingerprint, and
+any caller provenance.  A resume whose header differs is refused.
 
 Items are keyed by their absolute pair range ``[lo, hi)``; a stored
 ``checksum`` (CRC32 over the item's pristine pairs) guards against
@@ -29,7 +34,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..align.base import AlignmentResult, KernelStats
+from ..align.base import Aligner, AlignmentResult, KernelStats, aligner_fingerprint
 from ..core.cigar import Alignment, cigar_to_ops
 
 JOURNAL_KIND = "repro-batch-journal"
@@ -38,6 +43,33 @@ JOURNAL_VERSION = 1
 
 class CheckpointError(RuntimeError):
     """The journal cannot be used (wrong kind/version, foreign dataset)."""
+
+
+def journal_header(
+    aligner: Aligner,
+    *,
+    traceback: bool,
+    plan: Optional[str] = None,
+    extra: Optional[dict] = None,
+) -> dict:
+    """The identity of a run, as its journal header records it.
+
+    ``plan`` is the fault plan's fingerprint; ``extra`` is caller
+    provenance (e.g. the stream pipeline's chunk geometry) and may not
+    override the reserved keys ``aligner``, ``traceback`` and ``plan``.
+    """
+    meta = {
+        "aligner": aligner_fingerprint(aligner),
+        "traceback": traceback,
+        "plan": plan,
+    }
+    overlap = sorted(set(meta) & set(extra or ()))
+    if overlap:
+        raise ValueError(
+            f"journal_meta may not override reserved keys {overlap}"
+        )
+    meta.update(extra or {})
+    return meta
 
 
 def serialize_result(result: AlignmentResult) -> dict:
@@ -105,8 +137,8 @@ class CheckpointJournal:
 
     Args:
         path: journal file; created (with header) when absent.
-        meta: header fields identifying the run (aligner, plan
-            fingerprint, traceback flag).  A pre-existing journal whose
+        meta: header fields identifying the run (see
+            :func:`journal_header`).  A pre-existing journal whose
             header disagrees raises :class:`CheckpointError` rather than
             silently mixing two runs.
     """

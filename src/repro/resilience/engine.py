@@ -1,9 +1,12 @@
 """Fault-tolerant batch alignment: retry, bisect, degrade, checkpoint.
 
-:func:`align_batch_resilient` wraps the sharded batch engine
-(:mod:`repro.align.parallel`) in a supervision loop that keeps a batch
-correct — byte-identical to a fault-free serial run — while workers
-crash, hang, return garbage, or the (modelled) hardware corrupts values:
+Resilience is a policy on the one batch driver
+(:func:`repro.align.parallel.run_batch`): :func:`align_batch_resilient`
+runs the same shard body and dispatch loop as a plain batch, with
+:class:`ResiliencePolicy` deciding what each finished attempt means.  It
+keeps a batch correct — byte-identical to a fault-free serial run —
+while workers crash, hang, return garbage, or the (modelled) hardware
+corrupts values:
 
 * **deadlines** — each shard attempt runs under ``shard_timeout`` as a
   :class:`~repro.align.parallel.WorkerPool` task: in process mode the
@@ -28,50 +31,49 @@ crash, hang, return garbage, or the (modelled) hardware corrupts values:
   and produces the same :class:`~repro.align.batch.BatchResult`.
 
 Fault injection (``fault_plan=``) drives the same machinery with planned,
-seeded faults — see :mod:`.faults` — and every planned fault is accounted
-for in the returned ledger.
+seeded faults — see :mod:`.faults`.  The policy arms each attempt's
+faults in a guard (:class:`_AttemptGuard`) that travels in the shard
+task and acts inside the shard body, and every planned fault is
+accounted for in the returned ledger.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..align.base import (
-    Aligner,
-    AlignmentResult,
-    ResilienceCounters,
-)
-from ..analysis.sanitizer import runtime as dsan
+from ..align.base import Aligner, AlignmentResult, ResilienceCounters
 from ..align.batch import BatchResult, PairLike
 from ..align.parallel import (
-    DEFAULT_SHARD_SIZE,
     BatchTelemetry,
-    ShardTelemetry,
+    ShardDone,
+    ShardItem,
+    ShardReply,
+    ShardTask,
     TaskTimeout,
     UnpicklableReply,
     WorkerLost,
     WorkerPool,
     _pickling_failure,
-    iter_shards,
+    run_batch,
+    shard_checksum,
+    shard_done,
 )
 from ..common.retry import RetryPolicy
 from ..core.cigar import AlignmentError
+from ..core.isa import fault_injection
 from ..obs import runtime as obs
-from ..obs.metrics import snapshot_from_dict
-from .checkpoint import CheckpointJournal
+from .checkpoint import CheckpointJournal, journal_header
 from .faults import FaultError, FaultPlan, FaultSpec
 from .injectors import (
     FaultHookChain,
     HardwareFaultInjector,
     apply_worker_fault,
     corrupt_pair,
-    pair_checksum,
 )
 
 #: Deadline applied when a fault plan is present but none was chosen —
@@ -143,40 +145,6 @@ class ResilientBatchResult(BatchResult):
 
 
 @dataclass
-class _ShardTask:
-    """Picklable description of one shard attempt (worker payload)."""
-
-    lo: int
-    hi: int
-    pairs: Tuple[Tuple[str, str], ...]
-    traceback: bool
-    validate: bool
-    cross_check: bool
-    armed: Tuple[FaultSpec, ...]
-    hang_seconds: float
-    slow_seconds: float
-    obs: bool = False
-
-
-@dataclass
-class _ShardReply:
-    """Successful shard attempt, as shipped back over the transport."""
-
-    results: List[AlignmentResult]
-    checksum: int
-    elapsed: float
-    poison: bool
-    fired: Tuple[int, ...]
-    unfired: Tuple[int, ...]
-    #: ``pid:<n>`` of the process that ran the attempt.
-    worker: str = ""
-    #: Observability freight captured in the worker (drained span dicts +
-    #: metrics snapshot payload); absorbed by the supervisor on success.
-    spans: Tuple[dict, ...] = ()
-    metrics: Optional[dict] = None
-
-
-@dataclass
 class _ShardFailure:
     """Failed shard attempt: a classification plus human-readable detail."""
 
@@ -187,107 +155,9 @@ class _ShardFailure:
 class _PoisonedReply:
     """Deliberately unpicklable wrapper (injected ``unpicklable`` fault)."""
 
-    def __init__(self, reply: _ShardReply):
+    def __init__(self, reply: ShardReply):
         self.reply = reply
         self.trap = lambda: None  # closures never pickle
-
-
-@dataclass
-class _WorkItem:
-    lo: int
-    hi: int
-    pairs: List[Tuple[str, str]]
-    checksum: int
-    attempt: int = 0
-    ready_at: float = 0.0
-    armed: Tuple[FaultSpec, ...] = ()
-
-
-@dataclass
-class _Done:
-    lo: int
-    hi: int
-    results: List[AlignmentResult]
-    quarantined: List[QuarantinedPair]
-    elapsed: float
-    worker: str
-    resumed: bool = False
-
-
-def _shard_checksum(pairs: Sequence[Tuple[str, str]]) -> int:
-    checksum = 0
-    for pattern, text in pairs:
-        checksum = (checksum * 1000003 + pair_checksum(pattern, text)) & 0xFFFFFFFF
-    return checksum
-
-
-def _verify_result(
-    aligner: Aligner,
-    pattern: str,
-    text: str,
-    result: AlignmentResult,
-    abs_index: int,
-    traces: Optional[List],
-) -> None:
-    """Independent checks on one result; raises CrossCheckError on any."""
-    if result.exact:
-        from ..baselines.bpm import BpmAligner
-
-        reference = BpmAligner().align(pattern, text, traceback=False)
-        if reference.score != result.score:
-            raise CrossCheckError(
-                f"pair {abs_index}: score {result.score} disagrees with "
-                f"BPM reference {reference.score}"
-            )
-    if result.alignment is not None and result.alignment.score != result.score:
-        raise CrossCheckError(
-            f"pair {abs_index}: alignment score {result.alignment.score} "
-            f"!= result score {result.score}"
-        )
-    if traces:
-        tile_size = getattr(aligner, "tile_size", None)
-        if tile_size:
-            from ..analysis import verify_trace
-            from ..analysis.diagnostics import Severity
-
-            for pass_index, events in enumerate(traces):
-                diagnostics = verify_trace(
-                    events,
-                    tile_size=tile_size,
-                    label=f"pair{abs_index}.{pass_index}",
-                )
-                errors = [
-                    d for d in diagnostics if d.severity is Severity.ERROR
-                ]
-                if errors:
-                    raise CrossCheckError(
-                        f"pair {abs_index}: program verifier: "
-                        f"{errors[0].code} {errors[0].message}"
-                    )
-
-
-def _execute_item(payload: Tuple[Aligner, _ShardTask]):
-    """Align one shard attempt, injecting any armed faults.
-
-    The :class:`~repro.align.parallel.WorkerPool` task body (a dsan
-    worker root): runs in a pool worker (process mode) or in the parent
-    (inline mode); raises on injected crashes and on any failed
-    verification, and returns a deliberately unpicklable
-    :class:`_PoisonedReply` when an ``unpicklable`` fault struck.  When
-    the parent has observability on (``task.obs``) and this attempt runs
-    in a worker process, the attempt's spans and metrics are captured
-    locally and shipped back inside the reply for the supervisor to
-    absorb.
-    """
-    aligner, task = payload
-    if task.obs and not obs.owns_recorder():
-        with obs.capture() as (recorder, registry):
-            reply = _execute_item_body(aligner, task)
-        reply.spans = tuple(recorder.drain())
-        reply.metrics = registry.snapshot().to_dict()
-    else:
-        reply = _execute_item_body(aligner, task)
-    return _PoisonedReply(reply) if reply.poison else reply
 
 
 @contextlib.contextmanager
@@ -312,84 +182,133 @@ def _trace_capture(
         aligner.trace_sink = previous
 
 
-def _execute_item_body(aligner: Aligner, task: _ShardTask) -> _ShardReply:
-    from ..core.isa import fault_injection
+class _AttemptGuard:
+    """The resilience hooks of one supervised attempt (a shard task's guard).
 
-    start = time.perf_counter()
-    fired: List[int] = []
-    unfired: List[int] = []
-    poison = False
-    for spec in task.armed:
-        if spec.layer != "worker":
-            continue
-        marker = apply_worker_fault(
-            spec,
-            hang_seconds=task.hang_seconds,
-            slow_seconds=task.slow_seconds,
-        )
-        fired.append(spec.fault_id)
-        if marker == "unpicklable":
-            poison = True
-    pairs = list(task.pairs)
-    for spec in task.armed:
-        if spec.layer != "data":
-            continue
-        offset = spec.pair_index - task.lo
-        pattern, text = pairs[offset]
-        mutated = corrupt_pair(spec, pattern, text)
-        if mutated != (pattern, text):
-            pairs[offset] = mutated
-            fired.append(spec.fault_id)
-        else:
-            unfired.append(spec.fault_id)
-    hardware: Dict[int, List[FaultSpec]] = {}
-    for spec in task.armed:
-        if spec.layer == "hardware":
-            hardware.setdefault(spec.pair_index - task.lo, []).append(spec)
-    results: List[AlignmentResult] = []
-    with obs.span(
-        "shard.attempt", lo=task.lo, hi=task.hi, armed=len(task.armed)
+    It travels inside the :class:`~repro.align.parallel.ShardTask` and
+    runs in the shard body, in a worker process or inline: it enacts the
+    attempt's worker and data faults, arms each pair's hardware faults
+    and trace capture, cross-checks each result, and poisons the reply
+    when an ``unpicklable`` fault struck.
+    """
+
+    def __init__(
+        self,
+        armed: Tuple[FaultSpec, ...],
+        *,
+        lo: int,
+        cross_check: bool,
+        hang_seconds: float,
+        slow_seconds: float,
     ):
-        for offset, (pattern, text) in enumerate(pairs):
-            injectors = [
-                HardwareFaultInjector(spec)
-                for spec in hardware.get(offset, ())
-            ]
-            with _trace_capture(aligner, task.cross_check) as traces:
-                if injectors:
-                    with fault_injection(FaultHookChain(injectors)):
-                        result = aligner.align(
-                            pattern, text, traceback=task.traceback
-                        )
-                else:
-                    result = aligner.align(
-                        pattern, text, traceback=task.traceback
-                    )
-            for injector in injectors:
-                target = fired if injector.fired else unfired
-                target.append(injector.spec.fault_id)
-            if (
-                (task.validate or task.cross_check)
-                and result.alignment is not None
-            ):
-                result.alignment.validate()
-            if task.cross_check:
-                _verify_result(
-                    aligner, pattern, text, result, task.lo + offset, traces
+        self.armed = armed
+        self.lo = lo
+        self.cross_check = cross_check
+        self.hang_seconds = hang_seconds
+        self.slow_seconds = slow_seconds
+        self.unfired: List[int] = []
+        self.poison = False
+
+    def enact(self, pairs: Sequence[Tuple[str, str]]) -> List[Tuple[str, str]]:
+        """Strike the worker faults, then corrupt a copy of the pairs."""
+        for spec in self.armed:
+            if spec.layer == "worker":
+                marker = apply_worker_fault(
+                    spec,
+                    hang_seconds=self.hang_seconds,
+                    slow_seconds=self.slow_seconds,
                 )
-            results.append(result)
-    return _ShardReply(
-        results=results,
-        checksum=_shard_checksum(pairs),
-        elapsed=time.perf_counter() - start,
-        poison=poison,
-        fired=tuple(fired),
-        unfired=tuple(unfired),
-        worker=f"pid:{os.getpid()}",
-    )
+                self.poison = self.poison or marker == "unpicklable"
+        pairs = list(pairs)
+        for spec in self.armed:
+            if spec.layer != "data":
+                continue
+            offset = spec.pair_index - self.lo
+            pattern, text = pairs[offset]
+            mutated = corrupt_pair(spec, pattern, text)
+            if mutated != (pattern, text):
+                pairs[offset] = mutated
+            else:
+                self.unfired.append(spec.fault_id)
+        return pairs
+
+    @contextlib.contextmanager
+    def striking(self, aligner: Aligner, offset: int) -> Iterator[Optional[List]]:
+        """Arm one pair's hardware faults and trace capture around its alignment."""
+        injectors = [
+            HardwareFaultInjector(spec)
+            for spec in self.armed
+            if spec.layer == "hardware" and spec.pair_index - self.lo == offset
+        ]
+        with _trace_capture(aligner, self.cross_check) as traces:
+            if injectors:
+                with fault_injection(FaultHookChain(injectors)):
+                    yield traces
+            else:
+                yield traces
+        self.unfired.extend(
+            injector.spec.fault_id for injector in injectors
+            if not injector.fired
+        )
+
+    def vet(
+        self,
+        aligner: Aligner,
+        pattern: str,
+        text: str,
+        result: AlignmentResult,
+        index: int,
+        traces: Optional[List],
+    ) -> None:
+        """Cross-check one result: BPM score, alignment score, trace.
+
+        Raises :class:`CrossCheckError` on any disagreement; a no-op
+        unless the batch asked for cross-checks.
+        """
+        if not self.cross_check:
+            return
+        if result.exact:
+            from ..baselines.bpm import BpmAligner
+
+            reference = BpmAligner().align(pattern, text, traceback=False)
+            if reference.score != result.score:
+                raise CrossCheckError(
+                    f"pair {index}: score {result.score} disagrees with "
+                    f"BPM reference {reference.score}"
+                )
+        if result.alignment is not None and result.alignment.score != result.score:
+            raise CrossCheckError(
+                f"pair {index}: alignment score {result.alignment.score} "
+                f"!= result score {result.score}"
+            )
+        if traces:
+            tile_size = getattr(aligner, "tile_size", None)
+            if tile_size:
+                from ..analysis import verify_trace
+                from ..analysis.diagnostics import Severity
+
+                for pass_index, events in enumerate(traces):
+                    diagnostics = verify_trace(
+                        events,
+                        tile_size=tile_size,
+                        label=f"pair{index}.{pass_index}",
+                    )
+                    errors = [
+                        d for d in diagnostics if d.severity is Severity.ERROR
+                    ]
+                    if errors:
+                        raise CrossCheckError(
+                            f"pair {index}: program verifier: "
+                            f"{errors[0].code} {errors[0].message}"
+                        )
+
+    def deliver(self, reply: ShardReply):
+        """The attempt's reply, carrying the faults that changed nothing."""
+        reply.unfired = tuple(self.unfired)
+        return _PoisonedReply(reply) if self.poison else reply
 
 
-def _classify(item: "_WorkItem", future: Future):
+def _classify(item: ShardItem, future: Future):
     """Map a finished attempt's future to a reply or a :class:`_ShardFailure`."""
     where = f"shard [{item.lo},{item.hi})"
     try:
@@ -423,102 +342,76 @@ _FAILURE_COUNTERS = {
 }
 
 
-class _Supervisor:
-    """Shared state machine of the resilient engine (both executors)."""
+
+
+class ResiliencePolicy:
+    """Retry, bisection, fallback, quarantine and the journal, as a policy.
+
+    The batch loop (:func:`repro.align.parallel.run_batch`) calls it the
+    way it calls :class:`~repro.align.parallel.FailFast`: it arms each
+    attempt's planned faults, replays journalled items, and turns every
+    finished attempt into completed runs or items to queue again.
+    """
+
+    span = "batch.align_resilient"
+    result_type = ResilientBatchResult
 
     def __init__(
         self,
-        aligner: Aligner,
-        shards: Iterable[List[Tuple[str, str]]],
         *,
-        traceback: bool,
-        validate: bool,
         cross_check: bool,
         retry: RetryPolicy,
-        shard_timeout: Optional[float],
+        timeout: Optional[float],
         slow_threshold: Optional[float],
         plan: Optional[FaultPlan],
         journal: Optional[CheckpointJournal],
         fallback: Optional[Aligner],
-        inline: bool,
+        traceback: bool,
+        validate: bool,
     ):
-        self.aligner = aligner
-        self._shards = iter(shards)
-        self.traceback = traceback
-        self.validate = validate
         self.cross_check = cross_check
         self.retry = retry
-        self.shard_timeout = shard_timeout
+        self.timeout = timeout
         self.slow_threshold = slow_threshold
         self.plan = plan
         self.journal = journal
         self._fallback = fallback
+        self.traceback = traceback
+        self.validate = validate or cross_check
         self.counters = ResilienceCounters()
-        self.ledger: Dict[int, FaultRecord] = {}
-        if plan is not None:
-            for spec in plan.faults:
-                self.ledger[spec.fault_id] = FaultRecord(spec=spec)
-        self._untriggered = {
-            spec.fault_id for spec in (plan.faults if plan else ())
+        self.ledger: Dict[int, FaultRecord] = {
+            spec.fault_id: FaultRecord(spec=spec)
+            for spec in (plan.faults if plan else ())
         }
+        self._untriggered = set(self.ledger)
         self._injected: set = set()
-        self.completed: Dict[int, _Done] = {}
-        self._retry_queue: List[_WorkItem] = []
-        self._next_lo = 0
-        self._stream_done = False
-        if shard_timeout is not None:
-            self.hang_seconds = shard_timeout * (1.2 if inline else 3.0)
-            self.slow_seconds = shard_timeout * 0.6
-        else:
-            self.hang_seconds = 0.5
-            self.slow_seconds = 0.05
+        self._quarantined: Dict[int, List[QuarantinedPair]] = {}
+        self.hang_seconds = 0.5
+        self.slow_seconds = 0.05
 
-    # -- work supply --------------------------------------------------------
+    # -- set-up -------------------------------------------------------------
 
-    def _cut_next(self) -> Optional[_WorkItem]:
-        if self._stream_done:
-            return None
-        shard = next(self._shards, None)
-        if shard is None:
-            self._stream_done = True
-            return None
-        lo = self._next_lo
-        self._next_lo += len(shard)
-        return _WorkItem(
-            lo=lo,
-            hi=lo + len(shard),
-            pairs=shard,
-            checksum=_shard_checksum(shard),
-        )
+    def executor(self, pool: WorkerPool, workers: int) -> str:
+        return f"resilient-{pool.method or 'inline'}"
 
-    def next_ready(self, now: float) -> Optional[_WorkItem]:
-        """Next runnable item: due retries first, then the stream."""
-        due = [item for item in self._retry_queue if item.ready_at <= now]
-        if due:
-            item = min(due, key=lambda entry: entry.ready_at)
-            self._retry_queue.remove(item)
-            return item
-        return self._cut_next()
-
-    def next_ready_in(self, now: float) -> float:
-        """Seconds until the earliest queued retry becomes due."""
-        if not self._retry_queue:
-            return 0.0
-        earliest = min(item.ready_at for item in self._retry_queue)
-        return max(0.0, earliest - now)
-
-    def drained(self) -> bool:
-        return self._stream_done and not self._retry_queue
+    def bind(self, aligner: Aligner, pool: WorkerPool) -> Aligner:
+        inline = not pool.process_mode
+        if self.timeout is not None:
+            self.hang_seconds = self.timeout * (1.2 if inline else 3.0)
+            self.slow_seconds = self.timeout * 0.6
+        if inline and self.plan is not None and _pickling_failure(aligner) is None:
+            # Every process-mode attempt carries its own pickled copy of the
+            # aligner; inline, one copy keeps injected state out of the
+            # caller's aligner.
+            return pickle.loads(pickle.dumps(aligner))
+        return aligner
 
     # -- arming and resume --------------------------------------------------
 
-    def arm(self, item: _WorkItem) -> None:
-        """Select the faults that strike this attempt (transient: once)."""
-        if self.plan is None:
-            item.armed = ()
-            return
+    def task(self, item: ShardItem, task: ShardTask) -> ShardTask:
+        """Arm the faults that strike this attempt (transient: once)."""
         armed = []
-        for spec in self.plan.for_pairs(item.lo, item.hi):
+        for spec in self.plan.for_pairs(item.lo, item.hi) if self.plan else ():
             if spec.persistent:
                 armed.append(spec)
             elif spec.fault_id in self._untriggered:
@@ -532,14 +425,23 @@ class _Supervisor:
             if record.outcome == "planned":
                 record.outcome = "armed"
         item.armed = tuple(armed)
+        return replace(task, validate=self.validate, guard=_AttemptGuard(
+            item.armed,
+            lo=item.lo,
+            cross_check=self.cross_check,
+            hang_seconds=self.hang_seconds,
+            slow_seconds=self.slow_seconds,
+        ))
 
-    def try_resume(self, item: _WorkItem) -> bool:
+    def resume(self, item: ShardItem) -> Optional[ShardDone]:
         """Replay the item from the journal when already completed."""
         if self.journal is None:
-            return False
-        stored = self.journal.lookup(item.lo, item.hi, item.checksum)
+            return None
+        stored = self.journal.lookup(
+            item.lo, item.hi, shard_checksum(item.pairs)
+        )
         if stored is None:
-            return False
+            return None
         results, quarantined = stored
         self.counters.shards_resumed += 1
         obs.inc("resilience.shards_resumed")
@@ -550,38 +452,32 @@ class _Supervisor:
                     record.outcome = "resumed"
                     record.detail = "shard replayed from checkpoint journal"
                 self._untriggered.discard(spec.fault_id)
-        self.complete(
-            item,
-            results,
-            [QuarantinedPair(**entry) for entry in quarantined],
-            elapsed=0.0,
-            worker="journal",
-            resumed=True,
-        )
-        return True
+        if quarantined:
+            self._quarantined[item.lo] = [
+                QuarantinedPair(**entry) for entry in quarantined
+            ]
+        return ShardDone(item.lo, item.hi, results, worker="journal")
 
     # -- outcome handling ---------------------------------------------------
 
-    def handle(self, item: _WorkItem, payload, worker: str) -> None:
-        if isinstance(payload, _ShardReply) and payload.checksum != item.checksum:
-            payload = _ShardFailure(
+    def settle(self, item: ShardItem, future: Future, inline: bool) -> list:
+        outcome = _classify(item, future)
+        if (
+            isinstance(outcome, ShardReply)
+            and outcome.checksum != shard_checksum(item.pairs)
+        ):
+            outcome = _ShardFailure(
                 "data",
                 f"shard [{item.lo},{item.hi}) input checksum mismatch "
                 f"(corrupted in flight)",
             )
-        if isinstance(payload, _ShardFailure):
-            self._on_failure(item, payload)
-            return
-        self._on_success(item, payload, worker)
+        if isinstance(outcome, _ShardFailure):
+            return self._on_failure(item, outcome)
+        return [self._on_success(item, outcome, inline)]
 
     def _on_success(
-        self, item: _WorkItem, reply: _ShardReply, worker: str
-    ) -> None:
-        if obs.enabled():
-            if reply.spans:
-                obs.recorder().absorb(list(reply.spans))
-            if reply.metrics:
-                obs.metrics().absorb(snapshot_from_dict(reply.metrics))
+        self, item: ShardItem, reply: ShardReply, inline: bool
+    ) -> ShardDone:
         slow_hit = (
             self.slow_threshold is not None
             and reply.elapsed > self.slow_threshold
@@ -604,9 +500,9 @@ class _Supervisor:
             else:
                 record.outcome = "silent"
                 record.detail = "corrupted a value but every check passed"
-        self.complete(item, reply.results, [], reply.elapsed, worker)
+        return self._complete(item, shard_done(item, reply, inline))
 
-    def _on_failure(self, item: _WorkItem, failure: _ShardFailure) -> None:
+    def _on_failure(self, item: ShardItem, failure: _ShardFailure) -> list:
         counter = _FAILURE_COUNTERS.get(failure.kind, "crashes")
         setattr(
             self.counters, counter, getattr(self.counters, counter) + 1
@@ -625,32 +521,18 @@ class _Supervisor:
             item.ready_at = time.monotonic() + self.retry.delay(
                 item.lo, item.attempt
             )
-            self._retry_queue.append(item)
-            return
-        self._exhausted(item, failure)
-
-    def _exhausted(self, item: _WorkItem, failure: _ShardFailure) -> None:
+            return [item]
         if item.hi - item.lo > 1:
             self.counters.bisections += 1
-            mid = (item.lo + item.hi) // 2
-            split = mid - item.lo
-            for lo, hi, pairs in (
-                (item.lo, mid, item.pairs[:split]),
-                (mid, item.hi, item.pairs[split:]),
-            ):
-                self._retry_queue.append(
-                    _WorkItem(
-                        lo=lo,
-                        hi=hi,
-                        pairs=pairs,
-                        checksum=_shard_checksum(pairs),
-                        ready_at=time.monotonic(),
-                    )
-                )
-            return
-        self._degrade(item, failure)
+            split = len(item.pairs) // 2
+            now = time.monotonic()
+            return [
+                ShardItem(item.lo, item.pairs[:split], ready_at=now),
+                ShardItem(item.lo + split, item.pairs[split:], ready_at=now),
+            ]
+        return [self._degrade(item, failure)]
 
-    def _degrade(self, item: _WorkItem, failure: _ShardFailure) -> None:
+    def _degrade(self, item: ShardItem, failure: _ShardFailure) -> ShardDone:
         pattern, text = item.pairs[0]
         targeting = (
             self.plan.for_pairs(item.lo, item.hi) if self.plan else ()
@@ -659,10 +541,7 @@ class _Supervisor:
             result = self.fallback.align(
                 pattern, text, traceback=self.traceback
             )
-            if (
-                (self.validate or self.cross_check)
-                and result.alignment is not None
-            ):
+            if self.validate and result.alignment is not None:
                 result.alignment.validate()
         except Exception as exc:
             self.counters.quarantined_pairs += 1
@@ -676,21 +555,13 @@ class _Supervisor:
                 record = self.ledger[spec.fault_id]
                 record.outcome = "quarantined"
                 record.detail = reason
-            self.complete(
+            return self._complete(
                 item,
-                [],
-                [
-                    QuarantinedPair(
-                        index=item.lo,
-                        pattern=pattern,
-                        text=text,
-                        reason=reason,
-                    )
-                ],
-                elapsed=0.0,
-                worker="quarantine",
+                ShardDone(item.lo, item.hi, [], worker="quarantine"),
+                [QuarantinedPair(
+                    index=item.lo, pattern=pattern, text=text, reason=reason,
+                )],
             )
-            return
         self.counters.fallbacks += 1
         obs.inc("resilience.fallbacks")
         for spec in targeting:
@@ -700,8 +571,8 @@ class _Supervisor:
                 f"pair recovered via {type(self.fallback).__name__} after "
                 f"{failure.kind}"
             )
-        self.complete(
-            item, [result], [], elapsed=0.0, worker="fallback"
+        return self._complete(
+            item, ShardDone(item.lo, item.hi, [result], worker="fallback")
         )
 
     @property
@@ -712,70 +583,37 @@ class _Supervisor:
             self._fallback = BpmAligner()
         return self._fallback
 
-    def complete(
+    def _complete(
         self,
-        item: _WorkItem,
-        results: List[AlignmentResult],
-        quarantined: List[QuarantinedPair],
-        elapsed: float,
-        worker: str,
-        resumed: bool = False,
-    ) -> None:
-        self.completed[item.lo] = _Done(
-            lo=item.lo,
-            hi=item.hi,
-            results=results,
-            quarantined=quarantined,
-            elapsed=elapsed,
-            worker=worker,
-            resumed=resumed,
-        )
-        if self.journal is not None and not resumed:
+        item: ShardItem,
+        done: ShardDone,
+        quarantined: Sequence[QuarantinedPair] = (),
+    ) -> ShardDone:
+        """Keep a completed item's quarantine and journal it."""
+        if quarantined:
+            self._quarantined[item.lo] = list(quarantined)
+        if self.journal is not None:
             self.journal.record(
                 item.lo,
                 item.hi,
-                item.checksum,
-                results,
+                shard_checksum(item.pairs),
+                done.results,
                 [entry.to_dict() for entry in quarantined],
             )
             self.counters.checkpoints_written += 1
+        return done
 
-    # -- final assembly -----------------------------------------------------
-
-    def assemble(self, telemetry: BatchTelemetry) -> ResilientBatchResult:
-        batch = ResilientBatchResult()
-        cursor = 0
-        for index, lo in enumerate(sorted(self.completed)):
-            done = self.completed[lo]
-            if done.lo != cursor:
-                raise RuntimeError(
-                    f"resilient engine lost coverage: gap before pair "
-                    f"{done.lo} (have up to {cursor})"
-                )
-            cursor = done.hi
-            batch.results.extend(done.results)
-            for result in done.results:
-                batch.stats.merge(result.stats)
-            batch.quarantined.extend(done.quarantined)
-            telemetry.shards.append(
-                ShardTelemetry(
-                    index=index,
-                    pairs=len(done.results),
-                    wall_seconds=done.elapsed,
-                    worker=done.worker,
-                )
-            )
-        if cursor != self._next_lo:
-            raise RuntimeError(
-                f"resilient engine lost coverage: completed {cursor} of "
-                f"{self._next_lo} pairs"
-            )
+    def finish(self, batch: ResilientBatchResult, telemetry: BatchTelemetry) -> None:
+        batch.quarantined = [
+            entry
+            for lo in sorted(self._quarantined)
+            for entry in self._quarantined[lo]
+        ]
         batch.ledger = [
             self.ledger[fault_id] for fault_id in sorted(self.ledger)
         ]
         telemetry.resilience = self.counters
-        batch.telemetry = telemetry
-        return batch
+        obs.inc("batch.resilient_runs")
 
 
 def align_batch_resilient(
@@ -824,8 +662,8 @@ def align_batch_resilient(
         retry: full backoff policy (see :class:`RetryPolicy`).
         fault_plan: planned faults to inject (chaos campaigns).
         checkpoint: journal path for checkpoint/resume
-            (:mod:`.checkpoint`); an existing compatible journal is
-            resumed from automatically.
+            (:mod:`.checkpoint`); an existing journal written by the same
+            aligner configuration is resumed from automatically.
         journal_meta: extra provenance merged into the journal header —
             callers whose work depends on more than the aligner and
             traceback flag (e.g. the stream pipeline's chunk geometry)
@@ -840,140 +678,41 @@ def align_batch_resilient(
         accounts for every planned fault, and ``quarantined`` lists any
         pairs the degradation chain gave up on.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    if shard_size is None:
-        shard_size = DEFAULT_SHARD_SIZE
-    policy = retry if retry is not None else RetryPolicy()
+    if retry is None:
+        retry = RetryPolicy()
     if max_retries is not None:
-        policy = replace(policy, max_retries=max_retries)
-    if policy.max_retries < 0:
+        retry = replace(retry, max_retries=max_retries)
+    if retry.max_retries < 0:
         raise ValueError(
-            f"max_retries must be >= 0, got {policy.max_retries}"
+            f"max_retries must be >= 0, got {retry.max_retries}"
         )
     if shard_timeout is None and fault_plan is not None:
         shard_timeout = DEFAULT_CHAOS_TIMEOUT
     if slow_threshold is None and shard_timeout is not None:
         slow_threshold = shard_timeout * 0.5
-
-    pickling_failure = _pickling_failure(aligner) if workers > 1 else None
-    pool = WorkerPool(
-        workers if pickling_failure is None else 1, start_method=start_method
-    )
-
     journal = None
     if checkpoint is not None:
-        meta = {
-            "aligner": type(aligner).__name__,
-            "traceback": traceback,
-            "plan": fault_plan.fingerprint if fault_plan else None,
-        }
-        if journal_meta:
-            overlap = set(meta) & set(journal_meta)
-            if overlap:
-                raise ValueError(
-                    f"journal_meta may not override reserved keys {sorted(overlap)}"
-                )
-            meta.update(journal_meta)
-        journal = CheckpointJournal(checkpoint, meta)
-
-    supervisor = _Supervisor(
-        aligner,
-        iter_shards(pairs, shard_size),
-        traceback=traceback,
-        validate=validate,
-        cross_check=cross_check,
-        retry=policy,
-        shard_timeout=shard_timeout,
-        slow_threshold=slow_threshold,
-        plan=fault_plan,
-        journal=journal,
-        fallback=fallback,
-        inline=not pool.process_mode,
+        journal = CheckpointJournal(checkpoint, journal_header(
+            aligner,
+            traceback=traceback,
+            plan=fault_plan.fingerprint if fault_plan else None,
+            extra=journal_meta,
+        ))
+    return run_batch(
+        aligner, pairs,
+        workers=workers, shard_size=shard_size,
+        traceback=traceback, validate=validate,
+        start_method=start_method,
+        policy=ResiliencePolicy(
+            cross_check=cross_check,
+            retry=retry,
+            timeout=shard_timeout,
+            slow_threshold=slow_threshold,
+            plan=fault_plan,
+            journal=journal,
+            fallback=fallback,
+            traceback=traceback,
+            validate=validate,
+        ),
+        caller="align_batch_resilient",
     )
-
-    telemetry = BatchTelemetry(
-        workers=workers,
-        shard_size=shard_size,
-        backend=getattr(getattr(aligner, "backend", None), "name", None),
-    )
-    telemetry.executor = f"resilient-{pool.method or 'inline'}"
-    telemetry.fallback_reason = pickling_failure
-    start = time.perf_counter()
-    token = dsan.batch_begin()
-    try:
-        with obs.span("batch.align_resilient", workers=workers):
-            _drive(supervisor, pool)
-    finally:
-        pool.close()
-        dsan.batch_end(token, "align_batch_resilient")
-    obs.inc("batch.resilient_runs")
-    batch = supervisor.assemble(telemetry)
-    telemetry.wall_seconds = time.perf_counter() - start
-    return batch
-
-
-def _make_task(supervisor: _Supervisor, item: _WorkItem) -> _ShardTask:
-    supervisor.arm(item)
-    return _ShardTask(
-        lo=item.lo,
-        hi=item.hi,
-        pairs=tuple(item.pairs),
-        traceback=supervisor.traceback,
-        validate=supervisor.validate,
-        cross_check=supervisor.cross_check,
-        armed=item.armed,
-        hang_seconds=supervisor.hang_seconds,
-        slow_seconds=supervisor.slow_seconds,
-        obs=obs.enabled(),
-    )
-
-
-def _drive(supervisor: _Supervisor, pool: WorkerPool) -> None:
-    """Keep up to ``pool.workers`` attempts in flight until the batch drains.
-
-    Every attempt is one pool task under the ``shard_timeout`` deadline
-    and carries its own pickled copy of the aligner, so injected state
-    never outlives an attempt even though the workers stay warm.  An
-    inline pool runs one attempt at a time, each handled before the next
-    is armed, so inline campaigns replay exactly.
-    """
-    limit = pool.workers if pool.process_mode else 1
-    aligner = supervisor.aligner
-    if not pool.process_mode and supervisor.plan is not None:
-        # Emulate the per-attempt worker copy of process mode so injected
-        # state never leaks into the caller's aligner.
-        if _pickling_failure(aligner) is None:
-            aligner = pickle.loads(pickle.dumps(aligner))
-    active: Dict[Future, _WorkItem] = {}
-    while True:
-        now = time.monotonic()
-        while len(active) < limit:
-            item = supervisor.next_ready(now)
-            if item is None:
-                break
-            if supervisor.try_resume(item):
-                continue
-            task = _make_task(supervisor, item)
-            future = pool.submit(
-                _execute_item, (aligner, task),
-                timeout=supervisor.shard_timeout,
-            )
-            active[future] = item
-        if not active:
-            if supervisor.drained():
-                return
-            time.sleep(min(0.05, supervisor.next_ready_in(now) or 0.001))
-            continue
-        done, _ = wait(
-            active,
-            timeout=supervisor.next_ready_in(now) or None,
-            return_when=FIRST_COMPLETED,
-        )
-        for future in [f for f in active if f in done]:  # submission order
-            item = active.pop(future)
-            outcome = _classify(item, future)
-            worker = "inline"
-            if pool.process_mode and isinstance(outcome, _ShardReply):
-                worker = outcome.worker
-            supervisor.handle(item, outcome, worker=worker)

@@ -25,19 +25,14 @@ from __future__ import annotations
 
 import random
 import time
-import zlib
 from typing import List, Optional, Sequence, Tuple
 
+from ..align.parallel import pair_checksum  # noqa: F401 - public re-export
 from .faults import FaultSpec, InjectedCrashError
 
 #: Alphabet used when substituting a corrupted character (the realistic
 #: silent-corruption shape: still a valid base, just the wrong one).
 _BASES = "ACGT"
-
-
-def pair_checksum(pattern: str, text: str) -> int:
-    """Order-sensitive checksum of one pair (CRC32 over both sequences)."""
-    return zlib.crc32(pattern.encode() + b"\x00" + text.encode())
 
 
 class HardwareFaultInjector:

@@ -9,13 +9,8 @@ back-pressure (429 + ``Retry-After``), and crash recovery that re-executes
 a shard whose worker died.  See ``docs/serving.md``.
 """
 
-from .cache import (
-    AlignmentCache,
-    CachedAlignment,
-    CacheError,
-    aligner_fingerprint,
-    pair_key,
-)
+from ..align.base import aligner_fingerprint
+from .cache import AlignmentCache, CachedAlignment, CacheError, pair_key
 from .coalescer import Coalescer, CoalescerError, PendingPair
 from .http import (
     AlignmentHTTPServer,

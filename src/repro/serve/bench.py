@@ -36,11 +36,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
-from ..align.parallel import WorkerPool
+from ..align.parallel import ShardTask, WorkerPool, _align_shard
 from ..common.retry import RetryPolicy
 from ..workloads.generator import generate_pair_set
 from .http import running_server
-from .service import AlignmentService, ServeConfig, _serve_shard
+from .service import AlignmentService, ServeConfig
 
 
 def percentile(samples: List[int], fraction: float) -> int:
@@ -248,8 +248,8 @@ def _measure_cold(
         start = time.perf_counter_ns()
         pool = WorkerPool(workers, start_method=method)
         try:
-            payload = (aligner, [(pattern, text)], True, False, False)
-            pool.submit(_serve_shard, payload).result(timeout=120)
+            task = ShardTask([(pattern, text)], traceback=True)
+            pool.submit(_align_shard, (aligner, task)).result(timeout=120)
         finally:
             pool.close()
         samples.append(time.perf_counter_ns() - start)

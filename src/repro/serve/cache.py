@@ -31,38 +31,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..align.base import Aligner, AlignmentResult, KernelStats
+from ..align.base import AlignmentResult, KernelStats
 
 
 class CacheError(ValueError):
     """Raised on cache API misuse (negative capacity, bad key material)."""
-
-
-def aligner_fingerprint(aligner: Aligner) -> str:
-    """Stable identity of an aligner configuration for cache keys.
-
-    Two aligners with the same fingerprint are interchangeable for
-    caching: same class, same scalar configuration (tile size, mode,
-    fusion, windows…), same kernel backend.  The fingerprint folds in the
-    class name, every scalar/enum instance attribute (sorted by name),
-    and the backend name — complex attributes (the backend object itself,
-    caches) are identified by their ``name`` or skipped, so the
-    fingerprint never depends on object identity.
-    """
-    parts: List[str] = [type(aligner).__name__]
-    for key in sorted(vars(aligner)):
-        value = vars(aligner)[key]
-        if isinstance(value, (bool, int, str)) or value is None:
-            parts.append(f"{key}={value!r}")
-        elif hasattr(value, "value") and not callable(value):
-            # Enum-like (AlignmentMode): identified by its value.
-            parts.append(f"{key}={getattr(value, 'value')!r}")
-        elif hasattr(value, "name") and isinstance(
-            getattr(value, "name"), str
-        ):
-            # Backend-like: identified by its registered name.
-            parts.append(f"{key}={getattr(value, 'name')!r}")
-    return "|".join(parts)
 
 
 def pair_key(

@@ -42,23 +42,19 @@ from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..align.base import Aligner, KernelStats
+from ..align.base import Aligner, KernelStats, aligner_fingerprint
 from ..align.full_gmx import FullGmxAligner
 from ..align.parallel import (
     PoolError,
+    ShardTask,
     WorkerLost,
     WorkerPool,
-    _absorb_obs_buffers,
+    _absorb_obs,
     _align_shard,
     _pickling_failure,
 )
 from ..obs import runtime as obs
-from .cache import (
-    AlignmentCache,
-    CachedAlignment,
-    aligner_fingerprint,
-    pair_key,
-)
+from .cache import AlignmentCache, CachedAlignment, pair_key
 from .coalescer import Coalescer, PendingPair
 
 
@@ -84,18 +80,6 @@ class ServiceSaturatedError(ServeError):
 
 class ServiceClosedError(ServeError):
     """The service is not accepting requests (not started, or closed)."""
-
-
-def _serve_shard(payload):
-    """Worker body of the server's shard dispatch path.
-
-    Module-level so it pickles under every multiprocessing start method;
-    delegates to the batch engine's shard runner so server shards execute
-    exactly the code the conformance/chaos suites prove deterministic.
-    Registered as a dsan worker-reachability root (see
-    :data:`repro.analysis.sanitizer.reachability.DEFAULT_ROOTS`).
-    """
-    return _align_shard(payload)
 
 
 @dataclass(frozen=True)
@@ -433,13 +417,16 @@ class AlignmentService:
 
     def _dispatch(self, batch: List[PendingPair]) -> None:
         """Coalescer callback: ship one packed batch to the pool."""
-        shard = [(entry.pattern, entry.text) for entry in batch]
-        traceback = bool(batch[0].group)
-        payload = (self.aligner, shard, traceback, False, obs.enabled())
+        task = ShardTask(
+            [(entry.pattern, entry.text) for entry in batch],
+            traceback=bool(batch[0].group),
+            obs=obs.enabled(),
+        )
+        payload = (self.aligner, task)
         obs.inc("serve.batches")
         obs.observe("serve.coalesce.batch_pairs", len(batch))
         try:
-            handle = self.pool.submit(_serve_shard, payload)
+            handle = self.pool.submit(_align_shard, payload)
         except PoolError as exc:  # unusable pool: the collector runs it inline
             handle = Future()
             handle.set_exception(WorkerLost(f"dispatch failed: {exc}"))
@@ -477,13 +464,12 @@ class AlignmentService:
             # worker.  Fail only this batch.
             self._fail(shard.batch, exc)
             return
-        results, _stats, _seconds, _worker, buffers = outcome
-        _absorb_obs_buffers(buffers)
+        _absorb_obs(outcome.spans, outcome.metrics)
         obs.observe_ns(
             "serve.shard.collect_ns",
             int((time.perf_counter() - start) * 1e9),
         )
-        self._complete(shard.batch, results)
+        self._complete(shard.batch, outcome.results)
 
     def _recover(self, shard: _InFlightShard):
         """Crash path: re-run a shard whose worker died, inline.
@@ -497,7 +483,7 @@ class AlignmentService:
             self.shard_recoveries += 1
         obs.inc("serve.shard.recoveries")
         try:
-            return _serve_shard(shard.payload)
+            return _align_shard(shard.payload)
         except Exception as exc:  # noqa: BLE001 - routed to the futures
             self._fail(shard.batch, exc)
             return None

@@ -7,9 +7,9 @@ from urllib.parse import urlsplit
 import pytest
 
 from repro.align import FullGmxAligner
+from repro.align.base import aligner_fingerprint
 from repro.dist import DistWorker, ShardCompletion, ShardRequest, running_worker
 from repro.dist.protocol import shard_checksum
-from repro.serve.cache import aligner_fingerprint
 from repro.workloads import generate_pair_set
 
 

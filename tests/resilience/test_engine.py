@@ -253,6 +253,25 @@ class TestCheckpointResume:
                 fault_plan=plan,
             )
 
+    def test_journal_with_different_tile_size_is_rejected(
+        self, pairs, tmp_path
+    ):
+        # The journal header names the aligner's configuration, not just
+        # its class: a tile_size=16 run must not replay tile_size=8
+        # results (same scores, different stats).
+        from repro.resilience import CheckpointError
+
+        journal = str(tmp_path / "run.journal")
+        align_batch_resilient(
+            FullGmxAligner(tile_size=8), pairs, shard_size=2,
+            checkpoint=journal,
+        )
+        with pytest.raises(CheckpointError, match="aligner"):
+            align_batch_resilient(
+                FullGmxAligner(tile_size=16), pairs, shard_size=2,
+                checkpoint=journal,
+            )
+
 
 @pytest.mark.slow
 class TestProcessPool:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.align import FullGmxAligner, PoolError, WorkerPool, align_batch
 from repro.align.parallel import (
+    ShardTask,
     TaskTimeout,
     UnpicklableReply,
     WorkerLost,
@@ -45,7 +46,7 @@ def _wait_until(predicate, seconds=30.0):
 def _payload(pairs=2):
     pair_set = generate_pair_set("pool", 48, 0.1, pairs, seed=3)
     shard = [(p.pattern, p.text) for p in pair_set]
-    return (FullGmxAligner(), shard, True, False, False)
+    return (FullGmxAligner(), ShardTask(shard, traceback=True))
 
 
 class TestInlinePool:
@@ -60,9 +61,9 @@ class TestInlinePool:
         with WorkerPool(1) as pool:
             future = pool.submit(_align_shard, _payload())
             assert future.done()
-            results, stats, _, worker, _ = future.result()
-            assert len(results) == 2
-            assert worker.startswith("pid:")
+            reply = future.result()
+            assert len(reply.results) == 2
+            assert reply.worker.startswith("pid:")
 
     def test_inline_error_raised_from_get(self):
         def boom(payload):
@@ -139,8 +140,8 @@ class TestWorkerSupervision:
             os.kill(victim, signal.SIGKILL)
             _wait_until(lambda: pool.respawns == 1)
             assert victim not in pool.worker_pids()
-            results, *_ = pool.submit(_align_shard, _payload()).result(60)
-            assert len(results) == 2
+            reply = pool.submit(_align_shard, _payload()).result(60)
+            assert len(reply.results) == 2
 
     def test_timeout_kills_only_the_hung_worker(self):
         with WorkerPool(2) as pool:

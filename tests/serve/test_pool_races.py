@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.align import FullGmxAligner, WorkerPool
-from repro.align.parallel import WorkerLost, _align_shard
+from repro.align.parallel import ShardTask, WorkerLost, _align_shard
 from repro.workloads import generate_pair_set
 
 HAS_PROCESSES = bool(multiprocessing.get_all_start_methods())
@@ -30,7 +30,7 @@ needs_processes = pytest.mark.skipif(
 def _payload(pairs=2, seed=3):
     pair_set = generate_pair_set("pool-race", 40, 0.1, pairs, seed=seed)
     shard = [(p.pattern, p.text) for p in pair_set]
-    return (FullGmxAligner(), shard, True, False, False)
+    return (FullGmxAligner(), ShardTask(shard, traceback=True))
 
 
 def _wait_for_respawns(pool, count, seconds=30.0):
@@ -48,7 +48,7 @@ class TestWorkerKillRaces:
         WorkerLost — never wedge the pool or corrupt another result."""
         pool = WorkerPool(2)
         payload = _payload()
-        expected = _align_shard(payload)[0]
+        expected = _align_shard(payload).results
         stop = threading.Event()
         outcomes = []
         lock = threading.Lock()
@@ -56,7 +56,7 @@ class TestWorkerKillRaces:
         def submitter():
             while not stop.is_set():
                 try:
-                    results = pool.submit(_align_shard, payload).result(30)[0]
+                    results = pool.submit(_align_shard, payload).result(30).results
                 except WorkerLost:
                     outcome = "lost"
                 except Exception as exc:  # noqa: BLE001 - fails the test
@@ -94,7 +94,7 @@ class TestWorkerKillRaces:
                 assert not any(t.is_alive() for t in threads)
                 assert pool.respawns == 3
                 future = pool.submit(_align_shard, payload)
-                assert future.result(timeout=30.0)[0] == expected
+                assert future.result(timeout=30.0).results == expected
         finally:
             sys.setswitchinterval(interval)
             stop.set()
@@ -113,4 +113,4 @@ class TestWorkerKillRaces:
             assert set(pool.worker_pids()).isdisjoint(before)
             payload = _payload()
             future = pool.submit(_align_shard, payload)
-            assert future.result(timeout=30.0)[0] == _align_shard(payload)[0]
+            assert future.result(timeout=30.0).results == _align_shard(payload).results
