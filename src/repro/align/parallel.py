@@ -3,22 +3,24 @@
 The paper scales GMX across pairs, not within one alignment: 16 cores,
 each with a private GMX unit, split a read set and meet only at the memory
 controllers.  This module is the software analogue for the functional
-harness, and the one local batch driver behind
-:func:`~repro.align.batch.align_batch`, :func:`align_batch_sharded` and
-:func:`repro.resilience.align_batch_resilient`:
+harness, and the one batch driver behind
+:func:`~repro.align.batch.align_batch`, :func:`align_batch_sharded`,
+:func:`repro.resilience.align_batch_resilient` and the dist coordinator:
 
 * **one shard body** — :func:`_align_shard` aligns a shard's pairs in
   order and returns a :class:`ShardReply`.  It runs as a
   :class:`WorkerPool` task (in a worker process, or inline), and the
   alignment service and dist nodes call it too;
 * **one dispatch loop** — :func:`run_batch` cuts the input into shards
-  and :func:`_drive` keeps them in flight on a pool, settles every
-  finished task through a *policy*, and :func:`merge_shards` merges the
+  and :func:`_drive` keeps them in flight on a pool (a
+  :class:`WorkerPool`, or the dist node fleet), settles every finished
+  task through a *policy*, and :func:`merge_shards` merges the
   completed runs in input order;
 * **policies** — a plain batch uses :class:`FailFast` (the first failure
   propagates unchanged); the resilience policy
   (:mod:`repro.resilience.engine`) adds retry, bisection, fallback,
-  quarantine, the checkpoint journal and fault arming on the same loop.
+  quarantine, the checkpoint journal and fault arming on the same loop;
+  the dist policy, cost-packed shards and re-lease backoff.
 
 Three properties the driver guarantees:
 
@@ -761,6 +763,8 @@ def align_batch_sharded(
     """
     if workers is None:
         workers = pool.workers if pool is not None else (os.cpu_count() or 1)
+    if pool is not None and (workers < 2 or _pickling_failure(aligner)):
+        pool = None  # the batch runs in-process; run_batch records why
     return run_batch(
         aligner, pairs,
         workers=workers, shard_size=shard_size,
@@ -821,6 +825,8 @@ class FailFast:
     * ``timeout`` — the per-task deadline given to :meth:`WorkerPool.submit`;
     * ``executor(pool, workers)`` — the telemetry executor label;
     * ``bind(aligner, pool)`` — the aligner the tasks carry;
+    * ``cut(aligner, pairs, shard_size, traceback)`` — the input cut into
+      shards of ``(pattern, text)`` pairs, in input order;
     * ``resume(item)`` — a :class:`ShardDone` replayed without running
       the item, or ``None``;
     * ``task(item, task)`` — the :class:`ShardTask` to submit for it;
@@ -838,6 +844,12 @@ class FailFast:
 
     def bind(self, aligner: Aligner, pool: WorkerPool) -> Aligner:
         return aligner
+
+    def cut(
+        self, aligner: Aligner, pairs: Iterable[PairLike], shard_size: int,
+        traceback: bool,
+    ) -> Iterator[List[Tuple[str, str]]]:
+        return iter_shards(pairs, shard_size)
 
     def resume(self, item: ShardItem) -> Optional[ShardDone]:
         return None
@@ -866,16 +878,16 @@ def run_batch(
     policy=None,
     caller: str,
 ) -> BatchResult:
-    """The one local batch driver behind every ``align_batch*`` entry point.
+    """The one batch driver behind every batch entry point.
 
-    Cuts ``pairs`` into shards, runs them through :func:`_drive` on a
-    pool, and merges the completions in input order.  ``workers > 1``
-    with a picklable aligner fans out over ``pool`` when it is a live
-    process pool, or over an ephemeral pool of ``workers`` processes
-    when no pool is given; anything else (one worker, an unpicklable
-    aligner, a closed or inline ``pool``) runs on an in-process pool.
-    ``policy`` (default :class:`FailFast`) decides what a failed shard
-    means; ``caller`` names the batch for the sanitizer's leak check.
+    The policy cuts ``pairs`` into shards, :func:`_drive` runs them on a
+    pool, and the completions merge in input order.  A live process-mode
+    ``pool`` (a warm :class:`WorkerPool`, or the dist node fleet) runs
+    the batch as given; without one, ``workers > 1`` with a picklable
+    aligner fans out over an ephemeral pool, and anything else runs on an
+    in-process pool.  ``policy`` (default :class:`FailFast`) decides what
+    a failed shard means; ``caller`` names the batch for the sanitizer's
+    leak check.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
@@ -883,13 +895,13 @@ def run_batch(
         shard_size = DEFAULT_SHARD_SIZE
     if policy is None:
         policy = FailFast()
-    fallback_reason = _pickling_failure(aligner) if workers > 1 else None
-    fan_out = workers > 1 and fallback_reason is None
-    owned = None
-    if not (fan_out and pool is not None and pool.process_mode
-            and not pool.closed):
-        size = workers if fan_out and pool is None else 1
-        pool = owned = WorkerPool(size, start_method=start_method)
+    fallback_reason = owned = None
+    if pool is None or pool.closed or not pool.process_mode:
+        fallback_reason = _pickling_failure(aligner) if workers > 1 else None
+        fan_out = pool is None and workers > 1 and fallback_reason is None
+        pool = owned = WorkerPool(
+            workers if fan_out else 1, start_method=start_method
+        )
     telemetry = BatchTelemetry(
         workers=workers,
         shard_size=shard_size,
@@ -904,8 +916,9 @@ def run_batch(
     try:
         with obs.span(policy.span, workers=workers):
             completed, total = _drive(
-                task_aligner, iter_shards(pairs, shard_size), pool, policy,
-                traceback=traceback, validate=validate,
+                task_aligner,
+                policy.cut(aligner, pairs, shard_size, traceback),
+                pool, policy, traceback=traceback, validate=validate,
             )
     finally:
         if owned is not None:

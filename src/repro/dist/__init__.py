@@ -1,15 +1,16 @@
 """Fault-tolerant multi-node shard execution (`repro.dist`).
 
-A **coordinator** cuts a batch into predicted-cost-balanced shards
-(:mod:`.packing`), **leases** each shard to a remote **worker node**
-(:mod:`.worker` — an HTTP wrapper around a warm
+A **coordinator** (:mod:`.coordinator`) runs a batch on the one batch
+loop with the nodes as its executor: it **leases** each
+predicted-cost-balanced shard (:mod:`.packing`) to a remote **worker
+node** (:mod:`.worker` — an HTTP wrapper around a warm
 :class:`~repro.align.parallel.WorkerPool`), tracks node liveness with
 heartbeats, and accounts every completion **exactly once** through the
-resilience checkpoint journal (:mod:`.coordinator`).  Expired leases are
-reassigned under the shared seeded retry policy, zombie completions are
-discarded by lease epoch, repeatedly failing nodes are quarantined, and
-with zero live nodes the whole batch degrades to local execution — the
-batch always completes, byte-identical to a serial run.
+resilience checkpoint journal.  Failed leases are re-leased under the
+shared seeded retry policy, zombie completions are discarded by lease
+epoch, repeatedly failing nodes are quarantined, and while no node is
+usable shards run locally — the batch always completes, byte-identical
+to a serial run.
 
 The chaos proof lives in :mod:`.chaos`: a seeded ≥100-fault campaign
 (node kill / hang / slow / partition mid-shard) across real localhost
@@ -36,7 +37,6 @@ from .protocol import (
     ProtocolError,
     ShardCompletion,
     ShardRequest,
-    StaleLeaseError,
 )
 from .worker import DistWorker, run_worker, running_worker
 
@@ -56,7 +56,6 @@ __all__ = [
     "ProtocolError",
     "ShardCompletion",
     "ShardRequest",
-    "StaleLeaseError",
     "pack_shards",
     "pick_node",
     "run_dist_campaign",

@@ -37,7 +37,7 @@ from ..align.base import Aligner
 from ..align.batch import align_batch
 from ..align.parallel import _resolve_start_method
 from ..common.retry import RetryPolicy
-from ..resilience.checkpoint import CheckpointJournal
+from ..resilience.checkpoint import CheckpointJournal, journal_header
 from ..workloads.generator import generate_pair_set
 from .coordinator import (
     DistBatchResult,
@@ -381,14 +381,13 @@ def run_dist_campaign(
             drain_timeout=lease_timeout * 2.2 + 4.0,
             max_node_failures=4,
         )
-        coordinator = DistCoordinator(
+        dist = DistCoordinator(
             aligner,
             handles,
             config=config,
             checkpoint=checkpoint,
             fault_plan=plan,
-        )
-        dist = coordinator.run(pairs)
+        ).run(pairs)
     finally:
         watcher_stop.set()
         if watcher.is_alive():
@@ -402,12 +401,7 @@ def run_dist_campaign(
     )
     # Exactly-once, proven from the journal itself: one record per shard.
     reopened = CheckpointJournal(
-        checkpoint,
-        {
-            "aligner": coordinator.fingerprint,
-            "traceback": True,
-            "plan": None,
-        },
+        checkpoint, journal_header(aligner, traceback=True)
     )
     journal_entries = len(reopened.entries)
     exactly_once = (

@@ -1,78 +1,63 @@
 """Dist coordinator: lease shards to nodes, account results exactly once.
 
-The coordinator owns the batch.  It cuts predicted-cost-balanced shards
-(:mod:`.packing`), then drives a lease state machine per shard::
+A distributed batch runs on the one batch loop
+(:func:`repro.align.parallel.run_batch`).  :class:`NodeFleet` is its
+executor and drives a lease state machine per task::
 
-    PENDING ──lease──▶ LEASED(node, epoch, deadline)
-       ▲                   │
-       │   expire/fail     │ completion echoing the *current* epoch
-       └───────────────────┤
-        (epoch += 1,       ▼
-         seeded backoff) COMPLETED (journalled once, exactly)
+    WAITING ──lease──▶ LEASED(node, epoch, deadline)
+       │                   ├─ completion echoing the current epoch ─▶ ShardReply
+       │                   ├─ deadline passed ──────────────────────▶ TaskTimeout
+       │                   └─ dead node / HTTP failure / bad checksum ▶ WorkerLost
+       └─ no usable node past the grace window ─▶ run locally
 
-* **Leases** — a shard is leased to one node at a time; the lease
-  carries an **epoch** that increments on every (re)lease.  Only a
-  completion echoing the current epoch is accounted; anything else is a
-  zombie reply from an expired lease and is discarded byte-identically
+* **Leases** — every (re)lease of a shard bumps its **epoch**; only a
+  completion echoing the current lease's epoch and the shard checksum
+  resolves the task, anything else is a zombie reply and is discarded
   (``stale_discards``).
-* **Heartbeats** — a background thread polls every node's ``/health``.
-  A dead node's leases expire immediately (no need to wait out the
-  deadline); a node answering with a *new* incarnation was respawned by
-  its supervisor and gets a clean failure slate (un-quarantined).
-* **Exactly-once accounting** — completions are recorded in the
-  resilience :class:`~repro.resilience.checkpoint.CheckpointJournal`
-  (when a checkpoint path is given) keyed by pair range, with the lease
-  epoch and node as provenance; ``journal.has`` is the final guard that
-  no shard is ever accounted twice, and a resumed run replays
-  journalled shards instead of re-leasing them.
+* **Heartbeats** — the fleet learns every node's incarnation before its
+  first lease, then polls ``/health``.  A dead node's leases expire at
+  once; a node answering with a *new* incarnation was respawned and is
+  paroled with a clean failure slate.
 * **Quarantine** — ``max_node_failures`` consecutive failures bench a
-  node, exactly like pair quarantine in the resilience engine; a
-  respawned incarnation is paroled.
+  node, like pair quarantine in the resilience engine.
 * **Graceful degradation** — with zero usable nodes (none configured,
-  all dead, or all quarantined past a grace window) the remaining
-  shards run inline through the local shard body and the batch still
-  completes, byte-identical.
+  all dead, or all quarantined past a grace window) a waiting task runs
+  through the local shard body; the decision is per task, so leasing
+  resumes once a node is paroled.
+
+:class:`DistPolicy` is the policy: predicted-cost shards
+(:mod:`.packing`), resume from the resilience
+:class:`~repro.resilience.checkpoint.CheckpointJournal`, a journal
+record per accepted completion (lease epoch and node as provenance),
+and a failed lease re-leased after ``DistConfig.retry``'s seeded
+backoff — unbounded, until a node or the local fallback completes it.
 """
 
 from __future__ import annotations
 
 import http.client
+import json
 import queue
 import threading
 import time
 from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from ..align.base import Aligner, KernelStats, aligner_fingerprint
 from ..align.batch import BatchResult, PairLike
 from ..align.parallel import (
-    DEFAULT_SHARD_SIZE,
-    BatchTelemetry,
-    ShardDone,
-    ShardTask,
-    ShardTelemetry,
-    _absorb_obs,
-    _align_shard,
-    merge_shards,
-    shard_checksum,
+    BatchTelemetry, FailFast, PoolError, ShardDone, ShardItem, ShardReply,
+    TaskTimeout, WorkerLost, _Task, run_batch, shard_checksum, shard_done,
 )
 from ..common.retry import RetryPolicy
-from ..obs import runtime as obs
 from ..resilience.checkpoint import CheckpointJournal, journal_header
 from .packing import PackedShard, pack_shards, pick_node
 from .protocol import (
-    DistError,
-    NodeFault,
-    ProtocolError,
-    ShardCompletion,
-    ShardRequest,
+    DistError, NodeFault, ProtocolError, ShardCompletion, ShardRequest,
 )
-
-
-class NoUsableNodeError(DistError):
-    """Every node is dead or quarantined (internal fallback trigger)."""
 
 
 @dataclass(frozen=True)
@@ -131,8 +116,8 @@ class DistConfig:
 
 @dataclass
 class _NodeState:
-    """Coordinator-side view of one node (mutated only by the run loop
-    and — for liveness fields, under ``lock`` — the heartbeat thread)."""
+    """The fleet's view of one node (mutated under the fleet's lock: lease
+    fields by the lease thread, liveness by the heartbeat thread)."""
 
     handle: NodeHandle
     alive: bool = True
@@ -166,12 +151,29 @@ class _NodeState:
 
 @dataclass
 class _Lease:
-    shard_id: int
+    task: _Task
+    shard: PackedShard
     epoch: int
     node: str
     deadline: float
     started: float
-    attempt: int
+
+
+@dataclass
+class LeaseReply(ShardReply):
+    """A shard reply with its lease provenance: the epoch it completed
+    under and the node that ran it (``local`` for the fallback)."""
+
+    epoch: int = 0
+    node: str = "local"
+
+    @classmethod
+    def of(cls, reply, worker: str, epoch: int, node: str = "local"):
+        """Wrap a :class:`ShardReply` or :class:`ShardCompletion`."""
+        return cls(
+            reply.results, reply.checksum, reply.elapsed, worker,
+            spans=reply.spans, metrics=reply.metrics, epoch=epoch, node=node,
+        )
 
 
 @dataclass
@@ -196,7 +198,7 @@ ACCOUNTED_OUTCOMES = (
     "retried",         # crash/partition detected, shard re-leased
     "expired",         # lease timed out; zombie reply never surfaced
     "stale-discarded", # zombie reply arrived and was rejected by epoch
-    "degraded",        # its shard completed through the local fallback
+    "degraded",        # fired, then its shard completed locally
 )
 
 
@@ -251,6 +253,462 @@ class DistBatchResult:
         )
 
 
+class NodeFleet:
+    """Worker nodes as an executor of the batch loop (see the module doc).
+
+    It has the :class:`~repro.align.parallel.WorkerPool` surface the
+    loop uses; ``workers`` counts lease slots.  A task's shard is looked
+    up in ``shards`` (packed shards by first pair index, filled by
+    :class:`DistPolicy`); ``fn`` runs only for the local fallback.  A
+    lease thread owns leases, expiry and the fault ledger; one dispatch
+    thread per lease does the ``POST /shard``.
+    """
+
+    method = "dist"
+    process_mode = True
+
+    def __init__(
+        self, nodes: Iterable[NodeHandle], *, config: DistConfig,
+        fingerprint: str = "", faults: Iterable[NodeFault] = (),
+    ) -> None:
+        self.config = config
+        self.fingerprint = fingerprint
+        self.nodes: Dict[str, _NodeState] = {}
+        for handle in nodes:
+            if handle.name in self.nodes:
+                raise DistError(f"duplicate node name {handle.name!r}")
+            handle.address  # validate URL eagerly  # noqa: B018
+            self.nodes[handle.name] = _NodeState(handle)
+        self.workers = max(1, len(self.nodes) * config.max_leases_per_node)
+        self.shards: Dict[int, PackedShard] = {}
+        self.counters = DistCounters()
+        self.ledger: Dict[int, NodeFaultRecord] = {
+            fault.shard: NodeFaultRecord(fault) for fault in faults
+        }
+        self._lock = threading.Lock()  # waiting tasks and node states
+        self._waiting: Deque[_Task] = deque()
+        self._leases: Dict[int, _Lease] = {}
+        self._epochs: Dict[int, int] = {}
+        self._events: "queue.Queue" = queue.Queue()
+        self._stop = threading.Event()
+        self._threads: List[threading.Thread] = []
+        self._dispatchers: List[threading.Thread] = []
+        self.closed = False
+
+    def submit(
+        self, fn: Callable, payload, timeout: Optional[float] = None
+    ) -> Future:
+        """Queue ``fn(payload)`` for a lease; ``timeout`` is its deadline
+        (default ``config.lease_timeout``)."""
+        future: Future = Future()
+        with self._lock:
+            if self.closed:
+                raise PoolError("node fleet is closed")
+            if not self._threads:
+                self._threads = [
+                    threading.Thread(target=target, name=name, daemon=True)
+                    for target, name in (
+                        (self._run, "repro-dist-lease"),
+                        (self._heartbeat_loop, "repro-dist-heartbeat"),
+                    )
+                ]
+                for thread in self._threads:
+                    thread.start()
+            self._waiting.append(_Task(fn, payload, timeout, future))
+        self._events.put(("wake",))
+        return future
+
+    def close(self) -> None:
+        """Stop the fleet (idempotent).
+
+        Outstanding dispatch threads are drained for up to
+        ``drain_timeout`` so their late replies are observed and counted
+        as stale; unfinished futures fail with :class:`PoolError`.
+        """
+        with self._lock:
+            if self.closed:
+                return
+            self.closed = True
+        self._stop.set()
+        self._events.put(("wake",))
+        for thread in self._threads:
+            thread.join()
+        deadline = time.monotonic() + self.config.drain_timeout
+        for thread in self._dispatchers:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        while not self._events.empty():
+            self._handle(self._events.get_nowait(), draining=True)
+        unfinished = [lease.task for lease in self._leases.values()]
+        for task in unfinished + list(iter(self._next_waiting, None)):
+            task.future.set_exception(PoolError("node fleet closed"))
+
+    # -- heartbeats ------------------------------------------------------
+
+    def _heartbeat_loop(self) -> None:
+        while not self._stop.wait(self.config.heartbeat_interval):
+            self._heartbeat_round()
+
+    def _heartbeat_round(self) -> None:
+        for state in self.nodes.values():
+            self._heartbeat_one(state)
+
+    def _heartbeat_one(self, state: _NodeState) -> None:
+        try:
+            status, body = _exchange(
+                state.handle, "GET", "/health", self.config.connect_timeout
+            )
+            if status != 200:
+                raise DistError(f"health returned {status}")
+            incarnation = int(json.loads(body).get("incarnation", 1))
+        except (OSError, ValueError, http.client.HTTPException, DistError):
+            with self._lock:
+                if state.alive:
+                    state.alive = False
+                    # The lease thread expires this node's leases on
+                    # its next tick; wake it up.
+                    self._events.put(("wake",))
+            return
+        with self._lock:
+            revived = not state.alive
+            state.alive = True
+            if state.incarnation not in (None, incarnation):
+                # Supervisor respawned the node: clean slate.
+                state.respawns_seen += 1
+                state.consecutive_failures = 0
+                if state.quarantined:
+                    state.quarantined = False
+                    self.counters.nodes_paroled += 1
+                    self._events.put(("wake",))
+            elif revived:
+                state.consecutive_failures = 0
+            state.incarnation = incarnation
+
+    # -- the lease thread ------------------------------------------------
+
+    def _run(self) -> None:
+        """Expire, lease, fall back locally, then wait for an event."""
+        config = self.config
+        self._heartbeat_round()  # learn every incarnation before leasing
+        grace = config.local_fallback_after
+        if grace is None:
+            grace = config.lease_timeout
+        last_usable = time.monotonic()
+        while not self._stop.is_set():
+            now = time.monotonic()
+            self._expire(now)
+            with self._lock:
+                usable = [s for s in self.nodes.values() if s.usable()]
+            if usable:
+                last_usable = now
+            self._lease_waiting(usable, now)
+            if not self._leases and (
+                not self.nodes or (not usable and now - last_usable >= grace)
+            ):
+                task = self._next_waiting()
+                if task is not None:
+                    self._run_local(task)
+                    continue
+            wake = min([now + max(0.02, config.heartbeat_interval)] + [
+                lease.deadline for lease in self._leases.values()
+            ])
+            try:
+                event = self._events.get(timeout=max(0.01, wake - now))
+            except queue.Empty:
+                continue
+            self._handle(event)
+
+    def _next_waiting(self) -> Optional[_Task]:
+        with self._lock:
+            while self._waiting:
+                task = self._waiting.popleft()
+                if task.future.set_running_or_notify_cancel():
+                    return task
+            return None
+
+    def _expire(self, now: float) -> None:
+        """Fail overdue leases, and at once every lease of a dead node."""
+        for lease in list(self._leases.values()):
+            with self._lock:
+                node_dead = not self.nodes[lease.node].alive
+            if node_dead or now >= lease.deadline:
+                self.counters.leases_expired += 1
+                if node_dead:
+                    self._fail(lease, WorkerLost, "node died")
+                else:
+                    self._fail(lease, TaskTimeout, "lease expired")
+
+    def _lease_waiting(self, usable: List[_NodeState], now: float) -> None:
+        """Lease waiting tasks while a usable node has a free slot."""
+        while True:
+            with self._lock:
+                candidates = [
+                    (s.handle.name, s.outstanding_cost, s.ewma_speed)
+                    for s in usable
+                    if s.leases < self.config.max_leases_per_node
+                ]
+            if not candidates:
+                return
+            task = self._next_waiting()
+            if task is None:
+                return
+            chosen = pick_node(candidates, self._shard(task).cost)
+            lease, request = self._grant(task, self.nodes[chosen], now)
+            thread = threading.Thread(
+                target=self._dispatch,
+                args=(lease, request),
+                name=f"repro-dist-dispatch-{lease.shard.shard_id}"
+                f"-e{lease.epoch}",
+                daemon=True,
+            )
+            self._dispatchers.append(thread)
+            thread.start()
+
+    def _shard(self, task: _Task) -> PackedShard:
+        return self.shards[task.payload[1].lo]
+
+    def _next_epoch(self, shard: PackedShard) -> int:
+        epoch = self._epochs[shard.shard_id] = (
+            self._epochs.get(shard.shard_id, 0) + 1
+        )
+        return epoch
+
+    def _grant(
+        self, task: _Task, state: _NodeState, now: float
+    ) -> Tuple[_Lease, ShardRequest]:
+        """Lease ``task`` to ``state``'s node under the shard's next epoch,
+        arming the shard's planned fault on its first lease."""
+        shard = self._shard(task)
+        timeout = (
+            task.timeout if task.timeout is not None
+            else self.config.lease_timeout
+        )
+        lease = _Lease(
+            task, shard, self._next_epoch(shard), state.handle.name,
+            deadline=now + timeout, started=now,
+        )
+        self._leases[shard.shard_id] = lease
+        with self._lock:
+            state.leases += 1
+            state.outstanding_cost += shard.cost
+        self.counters.leases_granted += 1
+        fault = self._note(
+            shard, ("planned",), "armed", f"armed on {lease.node}"
+        )
+        shard_task = task.payload[1]
+        request = ShardRequest(
+            shard.shard_id, lease.epoch, shard.lo, shard.hi, shard.pairs,
+            traceback=shard_task.traceback, fingerprint=self.fingerprint,
+            want_obs=shard_task.obs, fault=fault,
+        )
+        return lease, request
+
+    def _note(
+        self, shard: PackedShard, before: Tuple[str, ...], outcome: str,
+        detail: str,
+    ) -> Optional[NodeFault]:
+        """Move the shard's fault record from ``before`` to ``outcome``;
+        returns the fault when it moved."""
+        record = self.ledger.get(shard.shard_id)
+        if record is None or record.outcome not in before:
+            return None
+        record.outcome, record.detail = outcome, detail
+        return record.fault
+
+    def _release(self, lease: _Lease) -> _NodeState:
+        """End ``lease`` and free its node slot (caller holds the lock)."""
+        del self._leases[lease.shard.shard_id]
+        state = self.nodes[lease.node]
+        state.leases -= 1
+        state.outstanding_cost -= lease.shard.cost
+        return state
+
+    def _fail(self, lease: _Lease, error: type, reason: str) -> None:
+        """Fail a current lease's task; the policy decides the re-lease."""
+        with self._lock:
+            state = self._release(lease)
+            state.failures += 1
+            state.consecutive_failures += 1
+            if (
+                not state.quarantined
+                and state.consecutive_failures >= self.config.max_node_failures
+            ):
+                state.quarantined = True
+                self.counters.nodes_quarantined += 1
+        self._note(
+            lease.shard, ("armed",),
+            "expired" if error is TaskTimeout else "retried",
+            f"{reason} on {lease.node}",
+        )
+        lease.task.future.set_exception(error(
+            f"shard {lease.shard.shard_id} epoch {lease.epoch}: {reason} "
+            f"on {lease.node}"
+        ))
+
+    def _handle(self, event, *, draining: bool = False) -> None:
+        kind = event[0]
+        if kind == "wake":
+            return
+        lease: _Lease = event[1]
+        current = self._leases.get(lease.shard.shard_id) is lease
+        if kind == "failure":
+            # A failure of an expired lease, or one drained at close,
+            # leaves the shard where it is.
+            if current and not draining:
+                self.counters.lease_failures += 1
+                self._fail(lease, WorkerLost, event[2])
+            return
+        completion: ShardCompletion = event[2]
+        if not current or completion.epoch != lease.epoch:
+            self.counters.stale_discards += 1
+            with self._lock:
+                state = self.nodes.get(completion.node)
+                if state is not None:
+                    state.stale += 1
+            self._note(
+                lease.shard, ("armed", "expired"), "stale-discarded",
+                f"zombie completion from {completion.node} (epoch "
+                f"{completion.epoch} != {self._epochs[lease.shard.shard_id]})",
+            )
+            return
+        if completion.checksum != shard_checksum(lease.shard.pairs):
+            self.counters.corrupt_completions += 1
+            self.counters.lease_failures += 1
+            self._fail(lease, WorkerLost, "completion checksum mismatch")
+            return
+        sample = lease.shard.cost / max(1e-6, time.monotonic() - lease.started)
+        with self._lock:
+            state = self._release(lease)
+            state.completed += 1
+            state.consecutive_failures = 0
+            state.ewma_speed = (
+                sample
+                if state.ewma_speed == 0.0
+                else 0.7 * state.ewma_speed + 0.3 * sample
+            )
+        self._note(
+            lease.shard, ("armed",), "absorbed",
+            f"completed within lease on {lease.node}",
+        )
+        lease.task.future.set_result(LeaseReply.of(
+            completion, f"{lease.node}#{completion.incarnation}",
+            completion.epoch, lease.node,
+        ))
+
+    def _run_local(self, task: _Task) -> None:
+        """Run a waiting task through the local shard body."""
+        shard = self._shard(task)
+        epoch = self._next_epoch(shard)
+        try:
+            reply = task.fn(task.payload)
+        except Exception as exc:  # noqa: BLE001 - carried by the future
+            task.future.set_exception(exc)
+            return
+        self.counters.local_shards += 1
+        self._note(
+            shard, ("armed", "retried", "expired"), "degraded",
+            "completed by local fallback",
+        )
+        task.future.set_result(
+            LeaseReply.of(reply, f"local:{reply.worker}", epoch)
+        )
+
+    # -- dispatch --------------------------------------------------------
+
+    def _dispatch(self, lease: _Lease, request: ShardRequest) -> None:
+        """Dispatch-thread body: one POST /shard, one event, no locks."""
+        read_timeout = self.config.lease_timeout + self.config.dispatch_slack
+        if request.fault is not None and request.fault.kind == "hang":
+            # Keep the socket open long enough to *observe* the zombie
+            # reply — that is the point of the stale-discard ledger.
+            read_timeout = max(
+                read_timeout, request.fault.seconds + self.config.dispatch_slack
+            )
+        try:
+            status, body = _exchange(
+                self.nodes[lease.node].handle, "POST", "/shard",
+                read_timeout, request.to_json(),
+            )
+            if status == 200:
+                event = ("completion", lease, ShardCompletion.from_json(body))
+            else:
+                event = ("failure", lease, f"HTTP {status}: {body[:160]!r}")
+        except (OSError, http.client.HTTPException, ProtocolError) as exc:
+            event = ("failure", lease, f"{type(exc).__name__}: {exc}")
+        self._events.put(event)
+
+
+def _exchange(
+    node: NodeHandle, method: str, path: str, timeout: float,
+    body: Optional[bytes] = None,
+) -> Tuple[int, bytes]:
+    """One request on a fresh connection to ``node``: (status, body)."""
+    conn = http.client.HTTPConnection(*node.address, timeout=timeout)
+    try:
+        headers = {"Content-Type": "application/json"} if body else {}
+        conn.request(method, path, body=body, headers=headers)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+class DistPolicy(FailFast):
+    """The dist rules on the batch loop (see the module doc)."""
+
+    span = "batch.align_dist"
+    result_type = DistBatchResult
+
+    def __init__(
+        self, fleet: NodeFleet, config: DistConfig,
+        journal: Optional[CheckpointJournal],
+    ) -> None:
+        self.shards = fleet.shards
+        self.counters = fleet.counters
+        self.retry = config.retry
+        self.timeout = config.lease_timeout
+        self.journal = journal
+
+    def cut(
+        self, aligner: Aligner, pairs: Iterable[PairLike], shard_size: int,
+        traceback: bool,
+    ) -> Iterator[List[Tuple[str, str]]]:
+        packed = pack_shards(
+            aligner, pairs, shard_size=shard_size, traceback=traceback
+        )
+        self.counters.shards = len(packed)
+        self.shards.update((shard.lo, shard) for shard in packed)
+        return iter([shard.pairs for shard in packed])
+
+    def resume(self, item: ShardItem) -> Optional[ShardDone]:
+        if self.journal is None:
+            return None
+        cached = self.journal.lookup(
+            item.lo, item.hi, shard_checksum(item.pairs)
+        )
+        if cached is None:
+            return None
+        self.counters.resumed_shards += 1
+        return ShardDone(item.lo, item.hi, cached[0], worker="journal")
+
+    def settle(self, item: ShardItem, future: Future, inline: bool):
+        try:
+            reply: LeaseReply = future.result()
+        except (TaskTimeout, WorkerLost):
+            item.attempt += 1
+            self.counters.retries += 1
+            item.ready_at = time.monotonic() + self.retry.delay(
+                self.shards[item.lo].shard_id, item.attempt
+            )
+            return [item]
+        if self.journal is not None:
+            self.journal.record(
+                item.lo, item.hi, reply.checksum, reply.results,
+                epoch=reply.epoch, node=reply.node,
+            )
+            self.counters.journal_writes = self.journal.writes
+        return [shard_done(item, reply, inline)]
+
+
 class DistCoordinator:
     """Drives one batch across a set of worker nodes (single-use)."""
 
@@ -266,118 +724,15 @@ class DistCoordinator:
     ) -> None:
         self.aligner = aligner
         self.config = config if config is not None else DistConfig()
-        self.journal_meta = journal_meta
-        self.nodes: Dict[str, _NodeState] = {}
-        for handle in nodes:
-            if handle.name in self.nodes:
-                raise DistError(f"duplicate node name {handle.name!r}")
-            handle.address  # validate URL eagerly  # noqa: B018
-            self.nodes[handle.name] = _NodeState(handle)
         self.checkpoint = checkpoint
+        self.journal_meta = journal_meta
         self.fingerprint = aligner_fingerprint(aligner)
-        self._events: "queue.Queue" = queue.Queue()
-        self._node_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._dispatchers: List[threading.Thread] = []
-        self.ledger: Dict[int, NodeFaultRecord] = {}
-        if fault_plan is not None:
-            for fault in fault_plan.faults:
-                self.ledger[fault.shard] = NodeFaultRecord(fault)
-
-    # -- heartbeats ------------------------------------------------------
-
-    def _heartbeat_loop(self) -> None:
-        while not self._stop.wait(self.config.heartbeat_interval):
-            for state in list(self.nodes.values()):
-                self._heartbeat_one(state)
-
-    def _heartbeat_one(self, state: _NodeState) -> None:
-        host, port = state.handle.address
-        try:
-            conn = http.client.HTTPConnection(
-                host, port, timeout=self.config.connect_timeout
-            )
-            try:
-                conn.request("GET", "/health")
-                response = conn.getresponse()
-                body = response.read()
-            finally:
-                conn.close()
-            if response.status != 200:
-                raise DistError(f"health returned {response.status}")
-            import json as _json
-
-            incarnation = int(_json.loads(body).get("incarnation", 1))
-        except (OSError, ValueError, http.client.HTTPException, DistError):
-            with self._node_lock:
-                if state.alive:
-                    state.alive = False
-                    # The run loop expires this node's leases on its
-                    # next tick; wake it up.
-                    self._events.put(("node-down", state.handle.name))
-            return
-        with self._node_lock:
-            revived = not state.alive
-            state.alive = True
-            if (
-                state.incarnation is not None
-                and incarnation != state.incarnation
-            ):
-                # Supervisor respawned the node: clean slate.
-                state.respawns_seen += 1
-                state.consecutive_failures = 0
-                if state.quarantined:
-                    state.quarantined = False
-                    self._events.put(("node-paroled", state.handle.name))
-            elif revived:
-                state.consecutive_failures = 0
-            state.incarnation = incarnation
-
-    # -- dispatch --------------------------------------------------------
-
-    def _dispatch(
-        self, shard: PackedShard, lease: _Lease, request: ShardRequest
-    ) -> None:
-        """Dispatch-thread body: one POST /shard, one event, no locks."""
-        read_timeout = self.config.lease_timeout + self.config.dispatch_slack
-        if request.fault is not None and request.fault.kind == "hang":
-            # Keep the socket open long enough to *observe* the zombie
-            # reply — that is the point of the stale-discard ledger.
-            read_timeout = max(
-                read_timeout,
-                request.fault.seconds + self.config.dispatch_slack,
-            )
-        host, port = self.nodes[lease.node].handle.address
-        try:
-            conn = http.client.HTTPConnection(host, port, timeout=read_timeout)
-            try:
-                conn.request(
-                    "POST",
-                    "/shard",
-                    body=request.to_json(),
-                    headers={"Content-Type": "application/json"},
-                )
-                response = conn.getresponse()
-                body = response.read()
-            finally:
-                conn.close()
-            if response.status == 200:
-                completion = ShardCompletion.from_json(body)
-                self._events.put(("completion", lease, completion))
-            else:
-                self._events.put(
-                    (
-                        "failure",
-                        lease,
-                        f"HTTP {response.status}: {body[:160]!r}",
-                    )
-                )
-        except (OSError, http.client.HTTPException, ProtocolError) as exc:
-            self._events.put(
-                ("failure", lease, f"{type(exc).__name__}: {exc}")
-            )
-
-    # -- the run loop ----------------------------------------------------
+        self.fleet = NodeFleet(
+            nodes,
+            config=self.config,
+            fingerprint=self.fingerprint,
+            faults=fault_plan.faults if fault_plan is not None else (),
+        )
 
     def run(
         self,
@@ -385,371 +740,25 @@ class DistCoordinator:
         *,
         traceback: bool = True,
     ) -> DistBatchResult:
-        config = self.config
-        started_wall = time.perf_counter()
-        shards = pack_shards(
-            self.aligner,
-            pairs,
-            shard_size=config.shard_size,
-            traceback=traceback,
-        )
-        checksums = {s.shard_id: shard_checksum(s.pairs) for s in shards}
-        journal: Optional[CheckpointJournal] = None
+        fleet = self.fleet
+        if fleet.closed:
+            raise DistError("a DistCoordinator runs one batch")
+        journal = None
         if self.checkpoint:
-            journal = CheckpointJournal(
-                self.checkpoint,
-                journal_header(
-                    self.aligner, traceback=traceback, extra=self.journal_meta
-                ),
-            )
-        counters = DistCounters(shards=len(shards))
-        results_by_shard: Dict[int, ShardDone] = {}
-        telemetry = BatchTelemetry(
-            workers=max(1, len(self.nodes)),
-            shard_size=config.shard_size or DEFAULT_SHARD_SIZE,
-            executor="dist",
-        )
-        epochs: Dict[int, int] = {s.shard_id: 0 for s in shards}
-        attempts: Dict[int, int] = {s.shard_id: 0 for s in shards}
-        leases: Dict[int, _Lease] = {}
-        fault_armed: Dict[int, bool] = {}
-        by_id = {s.shard_id: s for s in shards}
-
-        # Resume journalled shards before leasing anything.
-        if journal is not None:
-            for shard in shards:
-                cached = journal.lookup(
-                    shard.lo, shard.hi, checksums[shard.shard_id]
-                )
-                if cached is not None:
-                    results_by_shard[shard.shard_id] = ShardDone(
-                        shard.lo, shard.hi, cached[0]
-                    )
-                    counters.resumed_shards += 1
-
-        pending: "deque[Tuple[float, int]]" = deque(
-            (0.0, s.shard_id)
-            for s in shards
-            if s.shard_id not in results_by_shard
-        )
-        done = len(results_by_shard)
-        total = len(shards)
-
-        heartbeat: Optional[threading.Thread] = None
-        if self.nodes:
-            heartbeat = threading.Thread(
-                target=self._heartbeat_loop,
-                name="repro-dist-heartbeat",
-                daemon=True,
-            )
-            heartbeat.start()
-        grace = (
-            config.local_fallback_after
-            if config.local_fallback_after is not None
-            else config.lease_timeout
-        )
-        last_usable = time.monotonic()
-
-        def _record(shard: PackedShard, results, epoch: int, node: str):
-            nonlocal done
-            results_by_shard[shard.shard_id] = ShardDone(
-                shard.lo, shard.hi, results
-            )
-            if journal is not None:
-                journal.record(
-                    shard.lo,
-                    shard.hi,
-                    checksums[shard.shard_id],
-                    results,
-                    epoch=epoch,
-                    node=node,
-                )
-                counters.journal_writes = journal.writes
-            done += 1
-
-        def _requeue(lease: _Lease, reason: str) -> None:
-            """Invalidate a lease and schedule its shard for re-lease."""
-            epochs[lease.shard_id] += 1  # the expired epoch can never land
-            leases.pop(lease.shard_id, None)
-            state = self.nodes[lease.node]
-            state.leases -= 1
-            state.outstanding_cost -= by_id[lease.shard_id].cost
-            state.failures += 1
-            state.consecutive_failures += 1
-            if (
-                not state.quarantined
-                and state.consecutive_failures >= config.max_node_failures
-            ):
-                state.quarantined = True
-                counters.nodes_quarantined += 1
-            attempt = attempts[lease.shard_id]
-            delay = config.retry.delay(lease.shard_id, max(1, attempt))
-            pending.append((time.monotonic() + delay, lease.shard_id))
-            counters.retries += 1
-            record = self.ledger.get(lease.shard_id)
-            if record is not None and record.outcome in ("planned", "armed"):
-                record.outcome = (
-                    "expired" if reason == "lease expired" else "retried"
-                )
-                record.detail = f"{reason} on {lease.node}"
-
-        def _run_local(shard: PackedShard) -> None:
-            epochs[shard.shard_id] += 1
-            reply = _align_shard((self.aligner, ShardTask(
-                shard.pairs, lo=shard.lo, traceback=traceback
-            )))
-            _record(shard, reply.results, epochs[shard.shard_id], "local")
-            counters.local_shards += 1
-            telemetry.shards.append(
-                ShardTelemetry(
-                    index=shard.shard_id,
-                    pairs=shard.size,
-                    wall_seconds=reply.elapsed,
-                    worker=f"local:{reply.worker}",
-                )
-            )
-            record = self.ledger.get(shard.shard_id)
-            if record is not None and record.outcome in (
-                "planned",
-                "armed",
-                "retried",
-                "expired",
-            ):
-                record.outcome = "degraded"
-                record.detail = "completed by local fallback"
-
+            journal = CheckpointJournal(self.checkpoint, journal_header(
+                self.aligner, traceback=traceback, extra=self.journal_meta
+            ))
         try:
-            while done < total:
-                now = time.monotonic()
-                # 1. Expire overdue leases (immediately for dead nodes).
-                for lease in list(leases.values()):
-                    with self._node_lock:
-                        node_dead = not self.nodes[lease.node].alive
-                    if node_dead or now >= lease.deadline:
-                        counters.leases_expired += 1
-                        _requeue(
-                            lease,
-                            "node died" if node_dead else "lease expired",
-                        )
-                # 2. Lease ready shards onto usable nodes.
-                with self._node_lock:
-                    usable = [
-                        state
-                        for state in self.nodes.values()
-                        if state.usable()
-                    ]
-                if usable:
-                    last_usable = now
-                ready: List[int] = []
-                still_waiting: "deque[Tuple[float, int]]" = deque()
-                while pending:
-                    at, shard_id = pending.popleft()
-                    if shard_id in results_by_shard:
-                        continue
-                    if at <= now:
-                        ready.append(shard_id)
-                    else:
-                        still_waiting.append((at, shard_id))
-                pending = still_waiting
-                for shard_id in ready:
-                    shard = by_id[shard_id]
-                    candidates = [
-                        (s.handle.name, s.outstanding_cost, s.ewma_speed)
-                        for s in usable
-                        if s.leases < config.max_leases_per_node
-                    ]
-                    chosen = pick_node(candidates, shard.cost)
-                    if chosen is None:
-                        pending.append((now, shard_id))
-                        continue
-                    state = self.nodes[chosen]
-                    epochs[shard_id] += 1
-                    attempts[shard_id] += 1
-                    lease = _Lease(
-                        shard_id=shard_id,
-                        epoch=epochs[shard_id],
-                        node=chosen,
-                        deadline=now + config.lease_timeout,
-                        started=now,
-                        attempt=attempts[shard_id],
-                    )
-                    leases[shard_id] = lease
-                    state.leases += 1
-                    state.outstanding_cost += shard.cost
-                    counters.leases_granted += 1
-                    fault = None
-                    record = self.ledger.get(shard_id)
-                    if record is not None and not fault_armed.get(shard_id):
-                        fault = record.fault
-                        fault_armed[shard_id] = True
-                        record.outcome = "armed"
-                        record.detail = f"armed on {chosen}"
-                    request = ShardRequest(
-                        shard_id=shard_id,
-                        epoch=lease.epoch,
-                        lo=shard.lo,
-                        hi=shard.hi,
-                        pairs=shard.pairs,
-                        traceback=traceback,
-                        fingerprint=self.fingerprint,
-                        want_obs=obs.enabled(),
-                        fault=fault,
-                    )
-                    thread = threading.Thread(
-                        target=self._dispatch,
-                        args=(shard, lease, request),
-                        name=f"repro-dist-dispatch-{shard_id}-e{lease.epoch}",
-                        daemon=True,
-                    )
-                    self._dispatchers.append(thread)
-                    thread.start()
-                # 3. Degrade to local execution with zero usable nodes.
-                if not leases and (
-                    not self.nodes
-                    or (not usable and now - last_usable >= grace)
-                ):
-                    for _, shard_id in sorted(pending):
-                        if shard_id not in results_by_shard:
-                            _run_local(by_id[shard_id])
-                    pending.clear()
-                    continue
-                if done >= total:
-                    break
-                # 4. Sleep until something can happen.
-                wake = now + max(0.02, config.heartbeat_interval)
-                for lease in leases.values():
-                    wake = min(wake, lease.deadline)
-                for at, _ in pending:
-                    wake = min(wake, at) if at > now else wake
-                timeout = max(0.01, wake - now)
-                try:
-                    event = self._events.get(timeout=timeout)
-                except queue.Empty:
-                    continue
-                self._handle_event(
-                    event, by_id, checksums, epochs, leases, counters,
-                    telemetry, results_by_shard, _record, _requeue,
-                )
+            batch = run_batch(
+                self.aligner, pairs, workers=max(1, len(fleet.nodes)),
+                shard_size=self.config.shard_size, traceback=traceback,
+                validate=False, pool=fleet,
+                policy=DistPolicy(fleet, self.config, journal),
+                caller="DistCoordinator.run",
+            )
         finally:
-            self._stop.set()
-            if heartbeat is not None:
-                heartbeat.join(timeout=2.0)
-
-        # Drain outstanding zombie dispatchers so their stale replies are
-        # observed and accounted (not lost to interpreter teardown).
-        drain_deadline = time.monotonic() + config.drain_timeout
-        for thread in self._dispatchers:
-            thread.join(timeout=max(0.0, drain_deadline - time.monotonic()))
-        while True:
-            try:
-                event = self._events.get_nowait()
-            except queue.Empty:
-                break
-            self._handle_event(
-                event, by_id, checksums, epochs, leases, counters,
-                telemetry, results_by_shard, _record, _requeue,
-                draining=True,
-            )
-
-        with self._node_lock:
-            nodes = {
-                name: state.to_dict() for name, state in self.nodes.items()
-            }
-        batch = DistBatchResult(
-            telemetry=telemetry,
-            counters=counters,
-            nodes=nodes,
-            ledger=[self.ledger[key] for key in sorted(self.ledger)],
-        )
-        merge_shards(
-            batch, results_by_shard.values(), sum(s.size for s in shards)
-        )
-        telemetry.wall_seconds = time.perf_counter() - started_wall
+            fleet.close()
+        batch.counters = fleet.counters
+        batch.nodes = {name: node.to_dict() for name, node in fleet.nodes.items()}
+        batch.ledger = [fleet.ledger[key] for key in sorted(fleet.ledger)]
         return batch
-
-    def _handle_event(
-        self,
-        event,
-        by_id,
-        checksums,
-        epochs,
-        leases,
-        counters,
-        telemetry,
-        results_by_shard,
-        record_fn,
-        requeue_fn,
-        *,
-        draining: bool = False,
-    ) -> None:
-        kind = event[0]
-        if kind in ("node-down", "node-paroled"):
-            if kind == "node-paroled":
-                counters.nodes_paroled += 1
-            return
-        lease = event[1]
-        shard = by_id[lease.shard_id]
-        current = epochs[lease.shard_id]
-        record = self.ledger.get(lease.shard_id)
-        if kind == "completion":
-            completion: ShardCompletion = event[2]
-            stale = (
-                completion.epoch != current
-                or lease.shard_id in results_by_shard
-            )
-            if stale:
-                counters.stale_discards += 1
-                state = self.nodes.get(completion.node)
-                if state is not None:
-                    state.stale += 1
-                if record is not None and record.outcome in (
-                    "armed",
-                    "expired",
-                ):
-                    record.outcome = "stale-discarded"
-                    record.detail = (
-                        f"zombie completion from {completion.node} "
-                        f"(epoch {completion.epoch} != {current})"
-                    )
-                return
-            if completion.checksum != checksums[lease.shard_id]:
-                counters.corrupt_completions += 1
-                counters.lease_failures += 1
-                requeue_fn(lease, "completion checksum mismatch")
-                return
-            state = self.nodes[lease.node]
-            record_fn(shard, completion.results, completion.epoch, lease.node)
-            leases.pop(lease.shard_id, None)
-            state.leases -= 1
-            state.outstanding_cost -= shard.cost
-            state.completed += 1
-            state.consecutive_failures = 0
-            wall = max(1e-6, time.monotonic() - lease.started)
-            sample = shard.cost / wall
-            state.ewma_speed = (
-                sample
-                if state.ewma_speed == 0.0
-                else 0.7 * state.ewma_speed + 0.3 * sample
-            )
-            telemetry.shards.append(
-                ShardTelemetry(
-                    index=shard.shard_id,
-                    pairs=shard.size,
-                    wall_seconds=completion.elapsed,
-                    worker=f"{lease.node}#{completion.incarnation}",
-                )
-            )
-            _absorb_obs(completion.spans, completion.metrics)
-            if record is not None and record.outcome == "armed":
-                record.outcome = "absorbed"
-                record.detail = f"completed within lease on {lease.node}"
-        elif kind == "failure":
-            reason: str = event[2]
-            if lease.epoch != current or lease.shard_id in results_by_shard:
-                # Failure report from an already-expired lease: the shard
-                # has moved on; nothing to requeue.
-                return
-            if draining:
-                return
-            counters.lease_failures += 1
-            requeue_fn(lease, reason)

@@ -39,10 +39,6 @@ class ProtocolError(DistError):
     """A message crossing the coordinator/worker boundary is malformed."""
 
 
-class StaleLeaseError(DistError):
-    """A completion echoed an expired lease epoch (zombie node)."""
-
-
 #: Node-level fault kinds the chaos harness can inject mid-shard.
 #:
 #: * ``kill`` — the worker process exits immediately (crash).

@@ -243,12 +243,7 @@ class CheckpointJournal:
         return results, list(entry.get("quarantined", ()))
 
     def has(self, lo: int, hi: int) -> bool:
-        """True when item ``[lo, hi)`` is already journalled.
-
-        Used by the distributed coordinator as the exactly-once gate: a
-        completion whose range is already present must not be recorded
-        (or accounted) a second time, whatever node it came from.
-        """
+        """True when item ``[lo, hi)`` is already journalled."""
         return (lo, hi) in self.entries
 
     def record(

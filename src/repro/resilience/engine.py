@@ -50,6 +50,7 @@ from ..align.base import Aligner, AlignmentResult, ResilienceCounters
 from ..align.batch import BatchResult, PairLike
 from ..align.parallel import (
     BatchTelemetry,
+    FailFast,
     ShardDone,
     ShardItem,
     ShardReply,
@@ -344,7 +345,7 @@ _FAILURE_COUNTERS = {
 
 
 
-class ResiliencePolicy:
+class ResiliencePolicy(FailFast):
     """Retry, bisection, fallback, quarantine and the journal, as a policy.
 
     The batch loop (:func:`repro.align.parallel.run_batch`) calls it the

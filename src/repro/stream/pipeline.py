@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, List, Optional, Union
 
 from ..align.base import Aligner, KernelStats
@@ -593,47 +593,37 @@ def _run_batch_engine(
     dist_nodes,
     dist_config,
 ):
-    """Execute the chunk-job pair stream on the selected batch engine."""
+    """Execute the chunk-job pair stream on the selected batch engine.
+
+    A selector over the public batch entry points, which all run on
+    :func:`repro.align.parallel.run_batch`.
+    """
+    meta = journal_meta if checkpoint else None
     if engine == "pool":
         batch = align_batch_sharded(
-            aligner,
-            pairs,
-            workers=workers,
-            shard_size=shard_size,
-            traceback=True,
-            pool=pool,
+            aligner, pairs, workers=workers, shard_size=shard_size,
+            traceback=True, pool=pool,
         )
-        return batch.results, batch.stats, batch.telemetry
-    if engine == "resilient":
+    elif engine == "resilient":
         from ..resilience.engine import align_batch_resilient
 
         batch = align_batch_resilient(
-            aligner,
-            pairs,
-            workers=workers if workers is not None else 1,
-            shard_size=shard_size,
-            traceback=True,
-            checkpoint=checkpoint,
-            journal_meta=journal_meta if checkpoint else None,
+            aligner, pairs, workers=workers if workers is not None else 1,
+            shard_size=shard_size, traceback=True, checkpoint=checkpoint,
+            journal_meta=meta,
         )
-        return batch.results, batch.stats, batch.telemetry
-    if engine == "dist":
+    elif engine == "dist":
         if not dist_nodes:
             raise ValueError("engine='dist' requires dist_nodes")
         from ..dist.coordinator import DistConfig, DistCoordinator
 
-        cfg = dist_config if dist_config is not None else DistConfig()
-        if cfg.shard_size is None:
-            from dataclasses import replace as _replace
-
-            cfg = _replace(cfg, shard_size=shard_size)
-        coordinator = DistCoordinator(
-            aligner,
-            dist_nodes,
-            config=cfg,
-            checkpoint=checkpoint,
-            journal_meta=journal_meta if checkpoint else None,
-        )
-        outcome = coordinator.run(pairs, traceback=True)
-        return outcome.results, outcome.stats, outcome.telemetry
-    raise ValueError(f"unknown engine {engine!r}")
+        config = dist_config if dist_config is not None else DistConfig()
+        if config.shard_size is None:
+            config = replace(config, shard_size=shard_size)
+        batch = DistCoordinator(
+            aligner, dist_nodes, config=config, checkpoint=checkpoint,
+            journal_meta=meta,
+        ).run(pairs, traceback=True)
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+    return batch.results, batch.stats, batch.telemetry

@@ -1,21 +1,35 @@
-"""Coordinator: leasing, exactly-once epoch fencing, degradation."""
+"""Coordinator: leasing, exactly-once epoch fencing, parole, degradation."""
 
+import json
+import threading
 import time
+from concurrent.futures import Future
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from repro.align import FullGmxAligner, align_batch
-from repro.align.parallel import BatchTelemetry
+from repro.align.parallel import (
+    ShardItem,
+    ShardTask,
+    TaskTimeout,
+    WorkerLost,
+    _align_shard,
+    _Task,
+)
 from repro.dist import (
     DistConfig,
     DistCoordinator,
     DistError,
+    NodeFault,
     NodeHandle,
     PackedShard,
     ShardCompletion,
+    ShardRequest,
     running_worker,
 )
-from repro.dist.coordinator import DistCounters, _Lease
+from repro.dist.chaos import NodeFaultPlan
+from repro.dist.coordinator import DistPolicy, NodeFleet
 from repro.dist.protocol import shard_checksum
 from repro.resilience import CheckpointJournal
 from repro.workloads import generate_pair_set
@@ -115,6 +129,16 @@ class TestGracefulDegradation:
         assert outcome.counters.local_shards == 3
         assert outcome.counters.leases_granted == 0
 
+    def test_faults_that_never_fired_are_not_accounted(self):
+        aligner = FullGmxAligner()
+        plan = NodeFaultPlan(seed=1, faults=[NodeFault("kill", shard=1)])
+        outcome = DistCoordinator(
+            aligner, [], config=DistConfig(shard_size=2), fault_plan=plan
+        ).run(_pairs(6))
+        assert outcome.counters.local_shards == 3
+        assert [record.outcome for record in outcome.ledger] == ["planned"]
+        assert outcome.accounted() is False
+
     def test_all_nodes_dead_falls_back_locally(self):
         aligner = FullGmxAligner()
         pairs = _pairs(4)
@@ -137,147 +161,244 @@ class TestGracefulDegradation:
         assert outcome.nodes["ghost"]["alive"] is False
 
 
-class _EventHarness:
-    """Synthetic run-loop state for driving ``_handle_event`` directly."""
+class _FleetHarness:
+    """A one-node fleet whose leases are granted by hand (no dispatch)."""
 
     def __init__(self, aligner, pairs):
-        self.coordinator = DistCoordinator(
-            aligner, [NodeHandle("n0", "http://127.0.0.1:1")]
+        self.fleet = NodeFleet(
+            [NodeHandle("n0", "http://127.0.0.1:1")], config=DistConfig()
         )
         self.shard = PackedShard(
             shard_id=0, lo=0, hi=len(pairs), pairs=pairs, cost=100
         )
-        self.by_id = {0: self.shard}
-        self.checksums = {0: shard_checksum(pairs)}
-        self.epochs = {0: 1}
-        self.counters = DistCounters(shards=1)
-        self.telemetry = BatchTelemetry(
-            workers=1, shard_size=4, executor="dist"
-        )
-        self.results_by_shard = {}
-        self.recorded = []
-        self.requeued = []
-        state = self.coordinator.nodes["n0"]
-        state.leases = 1
-        state.outstanding_cost = self.shard.cost
+        self.fleet.shards[0] = self.shard
+        self.task = ShardTask(pairs)
+        self.policy = DistPolicy(self.fleet, DistConfig(), journal=None)
 
-    def lease(self, epoch):
-        now = time.monotonic()
-        lease = _Lease(
-            shard_id=0, epoch=epoch, node="n0",
-            deadline=now + 5.0, started=now, attempt=1,
+    @property
+    def counters(self):
+        return self.fleet.counters
+
+    def lease(self):
+        future = Future()
+        future.set_running_or_notify_cancel()
+        task = _Task(_align_shard, (FullGmxAligner(), self.task), 5.0, future)
+        lease, request = self.fleet._grant(
+            task, self.fleet.nodes["n0"], time.monotonic()
         )
-        self.leases = {0: lease}
+        assert request.epoch == lease.epoch
         return lease
 
-    def completion(self, epoch, *, results, checksum=None):
+    def expire(self, lease):
+        self.fleet._expire(lease.deadline)
+
+    def completion(self, lease, *, results, epoch=None, checksum=None):
         return ShardCompletion(
             shard_id=0,
-            epoch=epoch,
+            epoch=lease.epoch if epoch is None else epoch,
             node="n0",
             incarnation=1,
             checksum=(
-                self.checksums[0] if checksum is None else checksum
+                shard_checksum(self.shard.pairs)
+                if checksum is None else checksum
             ),
             results=results,
         )
 
-    def handle(self, event, *, draining=False):
-        self.coordinator._handle_event(
-            event,
-            self.by_id,
-            self.checksums,
-            self.epochs,
-            self.leases,
-            self.counters,
-            self.telemetry,
-            self.results_by_shard,
-            self._record,
-            self._requeue,
-            draining=draining,
-        )
-
-    def _record(self, shard, results, epoch, node):
-        self.results_by_shard[shard.shard_id] = results
-        self.recorded.append((epoch, node))
-
-    def _requeue(self, lease, reason):
-        self.requeued.append((lease.epoch, reason))
-        self.leases.pop(lease.shard_id, None)
-        self.epochs[lease.shard_id] += 1
+    def requeued(self, lease):
+        """What the policy makes of the lease's finished task."""
+        item = ShardItem(0, list(self.shard.pairs))
+        return self.policy.settle(item, lease.task.future, inline=False)
 
 
 class TestLeaseEpochFencing:
-    """Satellite: duplicate/zombie completions must never be accounted."""
+    """Duplicate/zombie completions must never be accounted."""
 
     def _harness(self):
         aligner = FullGmxAligner()
         pairs = _pairs(2)
         results = [aligner.align(p, t) for p, t in pairs]
-        return _EventHarness(aligner, pairs), results
+        return _FleetHarness(aligner, pairs), results
 
     def test_current_epoch_completion_accounted_once(self):
         harness, results = self._harness()
-        lease = harness.lease(epoch=1)
-        harness.handle(
-            ("completion", lease, harness.completion(1, results=results))
+        lease = harness.lease()
+        harness.fleet._handle(
+            ("completion", lease, harness.completion(lease, results=results))
         )
-        assert harness.recorded == [(1, "n0")]
+        reply = lease.task.future.result(timeout=0)
+        assert reply.results == results
+        assert (reply.epoch, reply.node) == (1, "n0")
         assert harness.counters.stale_discards == 0
-        assert 0 not in harness.leases
+        assert harness.fleet.nodes["n0"].completed == 1
+        assert 0 not in harness.fleet._leases
 
     def test_duplicate_completion_discarded(self):
         harness, results = self._harness()
-        lease = harness.lease(epoch=1)
-        completion = harness.completion(1, results=results)
-        harness.handle(("completion", lease, completion))
-        harness.handle(("completion", lease, completion))  # the duplicate
-        assert harness.recorded == [(1, "n0")]  # accounted exactly once
+        lease = harness.lease()
+        completion = harness.completion(lease, results=results)
+        harness.fleet._handle(("completion", lease, completion))
+        harness.fleet._handle(("completion", lease, completion))  # duplicate
+        assert harness.fleet.nodes["n0"].completed == 1  # accounted once
         assert harness.counters.stale_discards == 1
-        assert harness.coordinator.nodes["n0"].stale == 1
+        assert harness.fleet.nodes["n0"].stale == 1
 
     def test_stale_epoch_completion_discarded(self):
         harness, results = self._harness()
-        old_lease = harness.lease(epoch=1)
-        harness.epochs[0] = 2  # the shard was re-leased meanwhile
-        harness.handle(
-            ("completion", old_lease, harness.completion(1, results=results))
+        old_lease = harness.lease()
+        harness.expire(old_lease)
+        new_lease = harness.lease()  # the shard was re-leased meanwhile
+        assert new_lease.epoch == old_lease.epoch + 1
+        harness.fleet._handle(
+            (
+                "completion",
+                old_lease,
+                harness.completion(old_lease, results=results),
+            )
         )
-        assert harness.recorded == []
         assert harness.counters.stale_discards == 1
-        assert harness.results_by_shard == {}
+        assert not new_lease.task.future.done()
+        assert harness.fleet._leases[0] is new_lease
 
     def test_corrupt_completion_requeued_not_accounted(self):
         harness, results = self._harness()
-        lease = harness.lease(epoch=1)
-        harness.handle(
+        lease = harness.lease()
+        harness.fleet._handle(
             (
                 "completion",
                 lease,
-                harness.completion(1, results=results, checksum=0xBAD),
+                harness.completion(lease, results=results, checksum=0xBAD),
             )
         )
-        assert harness.recorded == []
+        with pytest.raises(WorkerLost, match="checksum mismatch"):
+            lease.task.future.result(timeout=0)
         assert harness.counters.corrupt_completions == 1
-        assert harness.requeued == [(1, "completion checksum mismatch")]
+        assert harness.fleet.nodes["n0"].completed == 0
+        [item] = harness.requeued(lease)
+        assert item.attempt == 1 and item.ready_at > 0
+        assert harness.counters.retries == 1
 
     def test_failure_from_expired_lease_ignored(self):
         harness, _results = self._harness()
-        old_lease = harness.lease(epoch=1)
-        harness.epochs[0] = 2
-        harness.handle(("failure", old_lease, "connection reset"))
-        assert harness.requeued == []
+        old_lease = harness.lease()
+        harness.expire(old_lease)
+        with pytest.raises(TaskTimeout):
+            old_lease.task.future.result(timeout=0)
+        harness.fleet._handle(("failure", old_lease, "connection reset"))
+        assert harness.counters.leases_expired == 1
         assert harness.counters.lease_failures == 0
+        assert harness.fleet.nodes["n0"].failures == 1
 
     def test_failure_from_current_lease_requeues(self):
         harness, _results = self._harness()
-        lease = harness.lease(epoch=1)
-        harness.handle(("failure", lease, "connection reset"))
-        assert harness.requeued == [(1, "connection reset")]
+        lease = harness.lease()
+        harness.fleet._handle(("failure", lease, "connection reset"))
+        with pytest.raises(WorkerLost, match="connection reset"):
+            lease.task.future.result(timeout=0)
         assert harness.counters.lease_failures == 1
+        [item] = harness.requeued(lease)
+        assert item.attempt == 1
 
     def test_failure_while_draining_ignored(self):
         harness, _results = self._harness()
-        lease = harness.lease(epoch=1)
-        harness.handle(("failure", lease, "late reset"), draining=True)
-        assert harness.requeued == []
+        lease = harness.lease()
+        harness.fleet._handle(("failure", lease, "late reset"), draining=True)
+        assert not lease.task.future.done()
+        assert harness.counters.lease_failures == 0
+        assert harness.fleet._leases[0] is lease
+
+
+class _StubNode:
+    """A stdlib HTTP node with a settable ``/health`` incarnation whose
+    ``/shard`` fails the first lease, then serves the shard body."""
+
+    def __init__(self, aligner, *, respawn_after_failure):
+        self.aligner = aligner
+        self.incarnation = 1
+        self.failed = False
+        self.respawn_after_failure = respawn_after_failure
+        node = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, format, *args):  # noqa: A002
+                pass
+
+            def do_GET(self):  # noqa: N802
+                self._send(200, {"incarnation": node.incarnation})
+
+            def do_POST(self):  # noqa: N802
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                request = ShardRequest.from_json(body)
+                if not node.failed:
+                    node.failed = True
+                    self._send(500, {"error": "first lease fails"})
+                    # The supervisor restarts the node after the failure.
+                    threading.Timer(
+                        node.respawn_after_failure, node.respawn
+                    ).start()
+                    return
+                reply = _align_shard((node.aligner, ShardTask(
+                    request.pairs, lo=request.lo,
+                    traceback=request.traceback,
+                )))
+                completion = ShardCompletion(
+                    shard_id=request.shard_id,
+                    epoch=request.epoch,
+                    node="stub",
+                    incarnation=node.incarnation,
+                    checksum=reply.checksum,
+                    results=reply.results,
+                )
+                self._send_raw(200, completion.to_json())
+
+            def _send(self, code, payload):
+                self._send_raw(code, json.dumps(payload).encode())
+
+            def _send_raw(self, code, body):
+                self.send_response(code)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server.daemon_threads = True
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, daemon=True
+        )
+
+    def respawn(self):
+        self.incarnation += 1
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.server.shutdown()
+        self.server.server_close()
+
+
+class TestParole:
+    def test_node_respawned_after_first_lease_is_paroled(self):
+        aligner = FullGmxAligner()
+        pairs = _pairs(4)
+        reference = align_batch(aligner, pairs)
+        with _StubNode(aligner, respawn_after_failure=0.1) as node:
+            outcome = DistCoordinator(
+                aligner,
+                [NodeHandle("stub", node.url)],
+                config=DistConfig(
+                    shard_size=4,
+                    heartbeat_interval=0.5,
+                    max_node_failures=1,
+                    lease_timeout=2.0,
+                ),
+            ).run(pairs)
+        assert outcome.results == reference.results
+        assert outcome.counters.lease_failures == 1
+        assert outcome.counters.nodes_quarantined == 1
+        assert outcome.counters.nodes_paroled == 1
+        assert outcome.counters.local_shards == 0
+        assert outcome.nodes["stub"]["respawns_seen"] == 1
+        assert outcome.nodes["stub"]["quarantined"] is False

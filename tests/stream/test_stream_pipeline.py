@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+from repro.baselines.edlib_like import EdlibAligner
+from repro.dist import DistConfig, NodeHandle, running_worker
 from repro.obs import runtime as obs
 from repro.resilience import CheckpointError
 from repro.stream import StreamConfig, StreamError, stream_align, stream_align_fasta
@@ -103,6 +105,23 @@ class TestEngines:
         )
         assert result.stitched.runs == serial_result.stitched.runs
         assert result.stitched.text == serial_result.stitched.text
+
+    def test_dist_engine_is_byte_identical(self, case, serial_result):
+        aligner = EdlibAligner()
+        with running_worker(aligner) as (_worker, url):
+            result = stream_align(
+                case.reference,
+                case.query,
+                config=CONFIG,
+                aligner=aligner,
+                engine="dist",
+                dist_nodes=[NodeHandle("n0", url)],
+                dist_config=DistConfig(heartbeat_interval=0.1),
+            )
+        assert result.telemetry.executor == "dist"
+        assert result.stitched.runs == serial_result.stitched.runs
+        assert result.stitched.text == serial_result.stitched.text
+        assert result.score == serial_result.score
 
     def test_checkpoint_rejects_different_geometry(self, case, tmp_path):
         journal = str(tmp_path / "stream.journal")
