@@ -8,8 +8,9 @@
 # run; the campaign falls back to the inline executor on hosts without
 # usable multiprocessing, so the target degrades gracefully everywhere.
 # `test-backends` runs the kernel-backend suites (registry, differential
-# fuzz, pickling, backend-parameterized conformance) and the speedup gate
-# that maintains BENCH_backends.json.
+# fuzz, pickling, edge-image seams, bit-parallel gmx.tb, backend-parameterized
+# conformance) and the speedup/traceback gate that maintains
+# BENCH_backends.json.
 # `test-cov` runs the fast suite under pytest-cov and enforces COV_MIN
 # (skipped with a notice when pytest-cov is not installed — the repro
 # container ships without it; CI installs it in the coverage job).
@@ -73,6 +74,8 @@ test-backends:
 	$(PYTEST) -q tests/align/test_backends.py \
 		tests/align/test_backend_differential.py \
 		tests/align/test_backend_pickling.py \
+		tests/align/test_edge_seams.py \
+		tests/core/test_traceback.py \
 		tests/conformance
 	$(PYTEST) -q benchmarks/test_backend_speedup.py
 

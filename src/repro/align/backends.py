@@ -17,8 +17,9 @@ images ``M[i][j] = (ΔV_out, ΔH_out)`` plus the bottom-row ΔH stream — from
     character advances *all* tile rows with a single Myers/Hyyrö column
     step (:func:`repro.core.tile.advance_column`) — O(1) big-int ops per
     column instead of O(tiles) tile instructions of O(T) Python work.
-    Tile edge images are extracted from the bitvectors only where the
-    matrix is stored, so scores, CIGARs and :class:`KernelStats` are
+    Per tile column it keeps only the whole-pattern (Pv, Mv) pair and two
+    ΔH tap words, and packs a tile's edge images only when the traceback
+    asks for them, so scores, CIGARs and :class:`KernelStats` are
     byte-identical to ``pure`` (block-equivalence of the Myers recurrence:
     both engines compute the unique Δ values of the same DP matrix).
 ``numpy``
@@ -48,7 +49,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from ..core.bitvec import mask, unpack_deltas
+from ..core.bitvec import mask, pack_plus_minus, unpack_deltas
 from ..core.isa import GmxIsa
 from ..core.tile import advance_column, build_peq
 from .base import KernelStats
@@ -66,6 +67,7 @@ __all__ = [
     "KernelBackend",
     "NumpyTileBackend",
     "PureTileBackend",
+    "TileEdges",
     "backend_names",
     "backend_specs",
     "effective_backend",
@@ -124,18 +126,49 @@ class FullMatrixRequest:
     boundary_h: List[int]
 
 
+class TileEdges(abc.ABC):
+    """Read-only view of the stored matrix ``M[i][j] = (ΔV_out, ΔH_out)``.
+
+    ``dv(i, j)`` / ``dh(i, j)`` return the packed right-edge ΔV and
+    bottom-edge ΔH register images of tile (i, j).  A backend may build an
+    image only when it is asked for: the traceback reads the edges of the
+    O((n+m)/T) tiles it visits, not all of them.
+    """
+
+    @abc.abstractmethod
+    def dv(self, i: int, j: int) -> int:
+        """Packed ΔV_out image of tile (i, j)."""
+
+    @abc.abstractmethod
+    def dh(self, i: int, j: int) -> int:
+        """Packed ΔH_out image of tile (i, j)."""
+
+
+class StoredEdges(TileEdges):
+    """Edge view over images stored as ``images[i][j] = (ΔV_out, ΔH_out)``."""
+
+    def __init__(self, images: List[List[Tuple[int, int]]]) -> None:
+        self._images = images
+
+    def dv(self, i: int, j: int) -> int:
+        return self._images[i][j][0]
+
+    def dh(self, i: int, j: int) -> int:
+        return self._images[i][j][1]
+
+
 @dataclass
 class FullMatrixResult:
     """Outputs of a Full(GMX) DP-matrix phase.
 
     Attributes:
-        matrix: ``M[i][j] = (ΔV_out, ΔH_out)`` images (None when the
-            request did not store the matrix).
+        matrix: read-only edge view of the tile images ``M[i][j]``
+            (None when the request did not store the matrix).
         bottom_deltas: ΔH values along the bottom matrix row, one per
             text column.
     """
 
-    matrix: Optional[List[List[Tuple[int, int]]]]
+    matrix: Optional[TileEdges]
     bottom_deltas: List[int]
 
 
@@ -267,7 +300,10 @@ class PureTileBackend(KernelBackend):
                 stats.tiles += 1
             bottom_deltas.extend(unpack_deltas(dh_down, len(text_chunk)))
             stats.add_instr("int_alu", 3)
-        return FullMatrixResult(matrix=matrix, bottom_deltas=bottom_deltas)
+        return FullMatrixResult(
+            matrix=StoredEdges(matrix) if matrix is not None else None,
+            bottom_deltas=bottom_deltas,
+        )
 
     def banded_matrix(self, request: BandedMatrixRequest) -> BandedMatrixResult:
         isa = request.isa
@@ -326,34 +362,34 @@ class PureTileBackend(KernelBackend):
 # bitpar: whole-pattern big-integer bitvectors.
 # ---------------------------------------------------------------------------
 
-#: Byte -> bit-doubled byte: bit k of the input moves to bit 2k (the even
-#: "plus" lane of the 2-bit Δ encoding).  Interleaving a (Pv, Mv) bitmask
-#: pair through this table is how bitpar materialises the packed Δ images
-#: the traceback and the ISA expect.
-_SPREAD8 = []
-for _byte in range(256):
-    _spread_value = 0
-    for _bit in range(8):
-        if _byte & (1 << _bit):
-            _spread_value |= 1 << (2 * _bit)
-    _SPREAD8.append(_spread_value)
-del _byte, _bit, _spread_value
+class _TapEdges(TileEdges):
+    """bitpar's edge view: images packed on demand from per-column words.
 
+    ``columns[j]`` holds tile column j's final whole-pattern (Pv, Mv) and its
+    two ΔH tap words, whose bit ``i·T + c`` is the Δh == +1 / −1 bit of
+    tile row i's bottom row at column c of the tile column.
+    """
 
-def _spread(value: int) -> int:
-    """Spread bit k of ``value`` to bit 2k (arbitrary width)."""
-    out = 0
-    shift = 0
-    while value:
-        out |= _SPREAD8[value & 0xFF] << shift
-        value >>= 8
-        shift += 16
-    return out
+    def __init__(
+        self, tile_size: int, rows: int, columns: List[Tuple[int, int, int, int]]
+    ) -> None:
+        self._tile = tile_size
+        self._rows = rows
+        self._columns = columns
 
+    def dv(self, i: int, j: int) -> int:
+        pv, mv, _, _ = self._columns[j]
+        base = i * self._tile
+        seg_mask = mask(min(self._tile, self._rows - base))
+        return pack_plus_minus((pv >> base) & seg_mask, (mv >> base) & seg_mask)
 
-def _pack_pm(plus: int, minus: int) -> int:
-    """Interleave (P, M) bitmasks into a packed 2-bit Δ register image."""
-    return _spread(plus) | (_spread(minus) << 1)
+    def dh(self, i: int, j: int) -> int:
+        _, _, tap_p, tap_m = self._columns[j]
+        base = i * self._tile
+        seg_mask = mask(self._tile)
+        return pack_plus_minus(
+            (tap_p >> base) & seg_mask, (tap_m >> base) & seg_mask
+        )
 
 
 class BitparTileBackend(KernelBackend):
@@ -384,49 +420,42 @@ class BitparTileBackend(KernelBackend):
         tile = request.tile_size
         pattern = request.pattern
         n = len(pattern)
-        p_chunks = request.p_chunks
-        t_chunks = request.t_chunks
-        n_tiles = len(p_chunks)
-        m_tiles = len(t_chunks)
+        n_tiles = len(request.p_chunks)
         store = request.store_matrix
+        top_fill = request.top_fill
         peq = self._whole_peq(pattern)
-        # Global row index of each tile row's bottom row (ΔH tap points).
-        row_ends = [min((i + 1) * tile, n) - 1 for i in range(n_tiles)]
-        rows_per = [len(chunk) for chunk in p_chunks]
+        # ΔH taps: every tile row but the last ends at row i·T + T − 1, so
+        # one shift by T − 1 and a stride-T mask move all their bottom-row
+        # bits to bit i·T at once.  The last tile row (partial or not) ends
+        # at row n − 1, whose Δh is the column's h_out.
+        stride = sum(1 << (i * tile) for i in range(n_tiles - 1))
+        last_bit = 1 << ((n_tiles - 1) * tile)
         pv = mask(n)  # left boundary: every ΔV is +1
         mv = 0
-        matrix: Optional[List[List[Tuple[int, int]]]] = None
-        if store:
-            matrix = [[(0, 0)] * m_tiles for _ in range(n_tiles)]
+        columns: List[Tuple[int, int, int, int]] = []
         bottom_deltas: List[int] = []
-        tile_range = range(n_tiles)
-        for j, text_chunk in enumerate(t_chunks):
-            cols = len(text_chunk)
-            dh_images = [0] * n_tiles if store else None
+        for text_chunk in request.t_chunks:
+            tap_p = 0
+            tap_m = 0
             for c, text_char in enumerate(text_chunk):
                 pv, mv, h_out, ph, mh = advance_column(
-                    peq.get(text_char, 0), pv, mv, request.top_fill, n
+                    peq.get(text_char, 0), pv, mv, top_fill, n
                 )
                 bottom_deltas.append(h_out)
                 if store:
-                    plus_slot = 2 * c
-                    minus_slot = plus_slot + 1
-                    for i in tile_range:
-                        end = row_ends[i]
-                        dh_images[i] |= (
-                            ((ph >> end) & 1) << plus_slot
-                            | ((mh >> end) & 1) << minus_slot
-                        )
+                    tap_p |= ((ph >> (tile - 1)) & stride) << c
+                    tap_m |= ((mh >> (tile - 1)) & stride) << c
+                    if h_out > 0:
+                        tap_p |= last_bit << c
+                    elif h_out < 0:
+                        tap_m |= last_bit << c
             if store:
-                for i in tile_range:
-                    base = i * tile
-                    seg_mask = mask(rows_per[i])
-                    matrix[i][j] = (
-                        _pack_pm((pv >> base) & seg_mask, (mv >> base) & seg_mask),
-                        dh_images[i],
-                    )
-            self._account_full_column(request, n, n_tiles, cols)
-        return FullMatrixResult(matrix=matrix, bottom_deltas=bottom_deltas)
+                columns.append((pv, mv, tap_p, tap_m))
+            self._account_full_column(request, n, n_tiles, len(text_chunk))
+        return FullMatrixResult(
+            matrix=_TapEdges(tile, n, columns) if store else None,
+            bottom_deltas=bottom_deltas,
+        )
 
     def _account_full_column(
         self, request: FullMatrixRequest, rows: int, n_tiles: int, cols: int
@@ -510,7 +539,9 @@ class BitparTileBackend(KernelBackend):
                     base = ti * tile
                     seg_mask = mask(len(p_chunks[ti]))
                     matrix[(ti, tj)] = (
-                        _pack_pm((pv >> base) & seg_mask, (mv >> base) & seg_mask),
+                        pack_plus_minus(
+                            (pv >> base) & seg_mask, (mv >> base) & seg_mask
+                        ),
                         dh_images[ti],
                     )
             bottoms.append(bottom_image)

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, Union
 
-from ..core.bitvec import pack_deltas
-from ..core.cigar import Alignment, OP_DELETION, OP_INSERTION, OP_MATCH, OP_MISMATCH
+from ..core.bitvec import plus_lanes
+from ..core.cigar import Alignment, OP_DELETION, OP_INSERTION
 from ..core.isa import GmxIsa, encode_pos
 from ..core.tile import DEFAULT_TILE_SIZE
 from ..core.traceback import NextTile
@@ -37,6 +37,7 @@ from ..obs import runtime as obs
 from .backends import (
     FullMatrixRequest,
     KernelBackend,
+    TileEdges,
     effective_backend,
     get_backend,
 )
@@ -128,15 +129,14 @@ class FullGmxAligner(Aligner):
         n_tiles = len(p_chunks)
         m_tiles = len(t_chunks)
 
-        boundary_v = [pack_deltas([1] * len(chunk)) for chunk in p_chunks]
+        # Boundary edges: all ΔV = +1; ΔH = +1, or 0 for INFIX's free prefix.
+        boundary_v = [plus_lanes(len(chunk)) for chunk in p_chunks]
         top_fill = 0 if self.mode is AlignmentMode.INFIX else 1
-        boundary_h = [
-            pack_deltas([top_fill] * len(chunk)) for chunk in t_chunks
-        ]
+        boundary_h = [plus_lanes(len(chunk)) * top_fill for chunk in t_chunks]
 
         # ---- Algorithm 1: tile-wise DP-matrix computation (column-major) ----
-        # The backend produces M[i][j] = (ΔV_out, ΔH_out) register images
-        # plus the bottom-row ΔH stream; everything downstream (score,
+        # The backend produces a view of M[i][j] = (ΔV_out, ΔH_out) register
+        # images plus the bottom-row ΔH stream; everything downstream (score,
         # traceback, stats folding) is backend-independent.
         with obs.span(
             "phase.compute",
@@ -232,7 +232,7 @@ class FullGmxAligner(Aligner):
         text: str,
         p_chunks: List[str],
         t_chunks: List[str],
-        matrix: List[List[Tuple[int, int]]],
+        matrix: TileEdges,
         boundary_v: List[int],
         boundary_h: List[int],
         end_column: int,
@@ -252,32 +252,22 @@ class FullGmxAligner(Aligner):
         tj = gj // tile
         isa.csrw("gmx_pos", encode_pos(tile - 1, gj % tile, tile))
         reversed_ops: List[str] = []
+        tiles = 0
         while gi >= 0 and gj >= 0:
             isa.csrw("gmx_text", t_chunks[tj])
             isa.csrw("gmx_pattern", p_chunks[ti])
-            dv_in = matrix[ti][tj - 1][0] if tj > 0 else boundary_v[ti]
-            dh_in = matrix[ti - 1][tj][1] if ti > 0 else boundary_h[tj]
+            dv_in = matrix.dv(ti, tj - 1) if tj > 0 else boundary_v[ti]
+            dh_in = matrix.dh(ti - 1, tj) if ti > 0 else boundary_h[tj]
             result = isa.gmx_tb(dv_in, dh_in)
             isa.csrr("gmx_hi")
             isa.csrr("gmx_lo")
             isa.csrr("gmx_pos")
-            stats.dp_bytes_read += 2 * edge_bytes
-            stats.add_instr("load", 2)
-            stats.add_instr("int_alu", 6)
-            stats.add_instr("branch", 2)
-            for op in result.ops:
-                reversed_ops.append(op)
-                if op in (OP_MATCH, OP_MISMATCH):
-                    gi -= 1
-                    gj -= 1
-                elif op == OP_DELETION:
-                    gi -= 1
-                else:
-                    gj -= 1
-            # Algorithm 2 dumps the raw encoded alignment: two stores of
-            # gmx_hi/gmx_lo per tile (the ops stay 2-bit encoded in memory).
-            stats.add_instr("store", 2)
-            stats.dp_bytes_written += 2 * edge_bytes
+            tiles += 1
+            ops = result.ops
+            reversed_ops.extend(ops)
+            # M and X move diagonally, D up, I left.
+            gi -= len(ops) - ops.count(OP_INSERTION)
+            gj -= len(ops) - ops.count(OP_DELETION)
             if result.next_tile is NextTile.DIAGONAL:
                 ti -= 1
                 tj -= 1
@@ -285,6 +275,15 @@ class FullGmxAligner(Aligner):
                 ti -= 1
             else:
                 tj -= 1
+        # Per visited tile: 2 edge loads, 6 int ops, 2 branches, and the
+        # two stores Algorithm 2 uses to dump the raw encoded gmx_hi/gmx_lo
+        # alignment (the ops stay 2-bit encoded in memory).
+        stats.dp_bytes_read += 2 * edge_bytes * tiles
+        stats.add_instr("load", 2 * tiles)
+        stats.add_instr("int_alu", 6 * tiles)
+        stats.add_instr("branch", 2 * tiles)
+        stats.add_instr("store", 2 * tiles)
+        stats.dp_bytes_written += 2 * edge_bytes * tiles
         # Finish along the matrix boundary.
         reversed_ops.extend([OP_DELETION] * (gi + 1))
         if self.mode is AlignmentMode.INFIX:

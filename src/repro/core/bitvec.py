@@ -3,7 +3,8 @@
 GMX packs vectors of 2-bit-encoded Δ values into general-purpose registers
 (T = 32 values in a 64-bit register).  Python integers are arbitrary
 precision, so these helpers impose explicit widths and provide the pack /
-unpack conversions between Δ-value lists and register images.
+unpack conversions between Δ-value lists, (plus, minus) bitmask pairs and
+register images.
 
 Register layout (paper §5): a ΔV/ΔH register holds T two-bit fields; field
 ``i`` occupies bits ``[2i+1 : 2i]`` with bit ``2i`` = (Δ == +1) and bit
@@ -12,7 +13,7 @@ Register layout (paper §5): a ΔV/ΔH register holds T two-bit fields; field
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 from .delta import DeltaEncodingError, decode_delta, encode_delta
 
@@ -106,3 +107,73 @@ def merge_plus_minus(plus: int, minus: int, count: int) -> List[int]:
             f"plus and minus masks overlap at bits {bin(plus & minus)}"
         )
     return [((plus >> i) & 1) - ((minus >> i) & 1) for i in range(count)]
+
+
+# -- packed images <-> (plus, minus) masks, without Δ lists -----------------
+
+#: Byte -> bit-doubled byte: bit k of the input moves to bit 2k.
+_SPREAD8 = [sum(((byte >> k) & 1) << (2 * k) for k in range(8))
+            for byte in range(256)]
+#: Byte -> its even bits gathered: bit 2k of the input moves to bit k.
+_GATHER8 = [sum(((byte >> (2 * k)) & 1) << k for k in range(4))
+            for byte in range(256)]
+
+
+def plus_lanes(count: int) -> int:
+    """Bit 2k set for every k < ``count``: the ΔV/ΔH register's plus lanes.
+
+    This is also the packed image of ``count`` Δ = +1 values — the
+    DP-matrix boundary edge.
+    """
+    return ((1 << (2 * count)) - 1) // 3
+
+
+def spread_bits(value: int) -> int:
+    """Move bit k of ``value`` to bit 2k (arbitrary width)."""
+    out = 0
+    shift = 0
+    while value:
+        out |= _SPREAD8[value & 0xFF] << shift
+        value >>= 8
+        shift += 16
+    return out
+
+
+def gather_bits(value: int) -> int:
+    """Move bit 2k of ``value`` to bit k, dropping odd bits (arbitrary width).
+
+    The inverse of :func:`spread_bits`.
+    """
+    out = 0
+    shift = 0
+    while value:
+        out |= _GATHER8[value & 0xFF] << shift
+        value >>= 8
+        shift += 4
+    return out
+
+
+def pack_plus_minus(plus: int, minus: int) -> int:
+    """Interleave (P, M) bitmasks into a packed 2-bit Δ register image.
+
+    Equal to ``pack_deltas(merge_plus_minus(plus, minus, count))`` for
+    non-overlapping masks, without the Δ list.
+    """
+    return spread_bits(plus) | (spread_bits(minus) << 1)
+
+
+def unpack_plus_minus(register: int, count: int) -> Tuple[int, int]:
+    """De-interleave ``count`` fields of a register image into (P, M) masks.
+
+    Equal to ``split_plus_minus(unpack_deltas(register, count))``: bits
+    above the ``count`` fields are ignored.
+
+    Raises:
+        DeltaEncodingError: if any of the fields holds the illegal 0b11.
+    """
+    lanes = plus_lanes(count)
+    plus = register & lanes
+    minus = (register >> 1) & lanes
+    if plus & minus:
+        raise DeltaEncodingError(f"illegal Δ bit pattern {(1, 1)!r}")
+    return gather_bits(plus), gather_bits(minus)

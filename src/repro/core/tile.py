@@ -20,7 +20,11 @@ Two interchangeable kernels are provided:
   advances one text column per step using word-wide boolean operations; this
   is what makes megabase-scale functional runs feasible in Python.
 
-Both are exhaustively cross-checked in the test suite.
+Both are exhaustively cross-checked in the test suite.  The same split holds
+for the traceback's interior recomputation: :func:`compute_tile_interior`
+is the cell-by-cell reference, and ``gmx.tb`` itself
+(:func:`repro.core.traceback.traceback_tile`) recomputes with
+:func:`advance_column`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from .bitvec import mask, merge_plus_minus, split_plus_minus
+from .bitvec import merge_plus_minus, split_plus_minus
 from .delta import gmx_delta
 
 #: Default hardware tile size: 32 two-bit Δ values fill a 64-bit register.
@@ -64,13 +68,14 @@ class TileInterior:
     dh: Tuple[Tuple[int, ...], ...]
 
 
-def _check_inputs(
+def check_tile_inputs(
     pattern: str,
     text: str,
     dv_in: Sequence[int],
     dh_in: Sequence[int],
     tile_size: int,
 ) -> None:
+    """Raise :class:`TileShapeError` unless the chunks and edges fit a tile."""
     if not pattern or not text:
         raise TileShapeError("tile pattern and text chunks must be non-empty")
     if len(pattern) > tile_size or len(text) > tile_size:
@@ -100,7 +105,7 @@ def compute_tile_reference(
     This mirrors the hardware CC_AC array exactly: each cell evaluates two
     GMXΔ modules fed by its left Δv, upper Δh and character-equality bit.
     """
-    _check_inputs(pattern, text, dv_in, dh_in, tile_size)
+    check_tile_inputs(pattern, text, dv_in, dh_in, tile_size)
     dv = list(dv_in)
     dh_out: List[int] = []
     for j, text_char in enumerate(text):
@@ -123,12 +128,15 @@ def compute_tile_interior(
     *,
     tile_size: int = DEFAULT_TILE_SIZE,
 ) -> TileInterior:
-    """Recompute and return every interior Δ value of a tile.
+    """Recompute and return every interior Δ value of a tile, cell by cell.
 
     The hardware GMX-TB module performs this recomputation transparently when
-    executing ``gmx.tb``; software never stores the interior.
+    executing ``gmx.tb``; software never stores the interior.  This is the
+    reference oracle for the bit-parallel recomputation inside
+    :func:`repro.core.traceback.traceback_tile` (with
+    :func:`repro.core.traceback.walk_tile`); no production path calls it.
     """
-    _check_inputs(pattern, text, dv_in, dh_in, tile_size)
+    check_tile_inputs(pattern, text, dv_in, dh_in, tile_size)
     rows = len(pattern)
     cols = len(text)
     dv_grid = [[0] * cols for _ in range(rows)]
@@ -189,12 +197,12 @@ def advance_column(
         masks (bit i set iff Δh[i] of this column is +1 / −1), which the
         traceback recomputation consumes.
     """
-    row_mask = mask(rows)
+    row_mask = (1 << rows) - 1
     eq = peq_char & row_mask
     xv = eq | mv
     if h_in < 0:
         eq |= 1
-    xh = ((((eq & pv) + pv) & mask(rows + 1)) ^ pv) | eq
+    xh = ((((eq & pv) + pv) & (row_mask << 1 | 1)) ^ pv) | eq
     ph = (mv | ~(xh | pv)) & row_mask
     mh = (pv & xh) & row_mask
     top_bit = 1 << (rows - 1)
@@ -234,7 +242,7 @@ def compute_tile(
             :func:`build_peq`); callers aligning many tiles against the same
             pattern chunk pass this to amortise its construction.
     """
-    _check_inputs(pattern, text, dv_in, dh_in, tile_size)
+    check_tile_inputs(pattern, text, dv_in, dh_in, tile_size)
     rows = len(pattern)
     if peq is None:
         peq = build_peq(pattern)

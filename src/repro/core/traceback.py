@@ -6,6 +6,14 @@ GMX-TB hardware does) and then walks the alignment path backwards from a
 start position on the tile's bottom or right edge until it leaves the tile
 through the top or left edge.
 
+:func:`traceback_tile` recomputes the interior with the same bit-parallel
+column step the tile kernel uses (:func:`repro.core.tile.advance_column`),
+one text column at a time and only up to the start column — the walk never
+moves right.  Each column keeps its match mask, its post-step ΔV-plus mask
+and its pre-shift ΔH-plus mask; the walk reads single bits from them.  The
+cell-by-cell interior (:func:`repro.core.tile.compute_tile_interior`) and
+:func:`walk_tile` over it are the reference the tests compare against.
+
 The walk at a cell (i, j) applies the CC_TB priority rule (Figure 8):
 
 1. ``eq == 1``      → **M**  (diagonal; D[i,j] = D[i-1,j-1] when the
@@ -26,10 +34,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from .bitvec import split_plus_minus
 from .cigar import CODE_TO_OP, OP_TO_CODE, OP_DELETION, OP_INSERTION, OP_MATCH, OP_MISMATCH
-from .tile import DEFAULT_TILE_SIZE, TileInterior, compute_tile_interior
+from .tile import (
+    DEFAULT_TILE_SIZE,
+    TileInterior,
+    advance_column,
+    build_peq,
+    check_tile_inputs,
+)
 
 
 class NextTile(enum.Enum):
@@ -72,6 +87,9 @@ def walk_tile(
 ) -> Tuple[List[str], int, int]:
     """Walk the alignment path backwards through a recomputed tile interior.
 
+    The cell-by-cell reference for :func:`traceback_tile`'s bit-parallel
+    walk (with :func:`repro.core.tile.compute_tile_interior`).
+
     Args:
         start: (row, col) cell where the path enters the tile; must lie on
             the bottom row or the right column for hardware-faithful use,
@@ -105,6 +123,17 @@ def walk_tile(
     return ops, i, j
 
 
+def tile_exit(
+    exit_row: int, exit_col: int, tile_size: int
+) -> Tuple[NextTile, Tuple[int, int]]:
+    """Classify a walk's exit cell into the next tile and its entry cell."""
+    if exit_row < 0 and exit_col < 0:
+        return NextTile.DIAGONAL, (tile_size - 1, tile_size - 1)
+    if exit_row < 0:
+        return NextTile.UP, (tile_size - 1, exit_col)
+    return NextTile.LEFT, (exit_row, tile_size - 1)
+
+
 def traceback_tile(
     pattern: str,
     text: str,
@@ -120,19 +149,73 @@ def traceback_tile(
     from ``start``, and classifies the exit into a :class:`NextTile`
     direction plus the entry cell of the neighbouring tile.
     """
-    interior = compute_tile_interior(
-        pattern, text, dv_in, dh_in, tile_size=tile_size
+    check_tile_inputs(pattern, text, dv_in, dh_in, tile_size)
+    return traceback_tile_masks(
+        pattern,
+        text,
+        split_plus_minus(dv_in),
+        split_plus_minus(dh_in),
+        start,
+        tile_size=tile_size,
     )
-    ops, exit_row, exit_col = walk_tile(pattern, text, interior, start)
-    if exit_row < 0 and exit_col < 0:
-        next_tile = NextTile.DIAGONAL
-        next_pos = (tile_size - 1, tile_size - 1)
-    elif exit_row < 0:
-        next_tile = NextTile.UP
-        next_pos = (tile_size - 1, exit_col)
-    else:
-        next_tile = NextTile.LEFT
-        next_pos = (exit_row, tile_size - 1)
+
+
+def traceback_tile_masks(
+    pattern: str,
+    text: str,
+    dv_in: Tuple[int, int],
+    dh_in: Tuple[int, int],
+    start: Tuple[int, int],
+    *,
+    tile_size: int = DEFAULT_TILE_SIZE,
+    peq: Optional[Dict[str, int]] = None,
+) -> TileTraceback:
+    """:func:`traceback_tile` on (plus, minus) edge masks.
+
+    Args:
+        dv_in / dh_in: (plus, minus) bitmasks of the left / top input edge
+            (bit i set iff Δ[i] == +1 / −1).
+        peq: optional precomputed equality masks for ``pattern`` (see
+            :func:`repro.core.tile.build_peq`).
+    """
+    row, col = start
+    rows = len(pattern)
+    if not (0 <= row < rows and 0 <= col < len(text)):
+        raise ValueError(f"start cell {start!r} outside tile {rows}x{len(text)}")
+    if peq is None:
+        peq = build_peq(pattern)
+    pv, mv = dv_in
+    h_plus, h_minus = dh_in
+    # Per column up to the start: the match mask, the cells' Δv == +1
+    # mask (post-step) and their Δh == +1 mask (pre-shift).
+    eq_cols: List[int] = []
+    dv_cols: List[int] = []
+    dh_cols: List[int] = []
+    for j in range(col + 1):
+        eq = peq.get(text[j], 0)
+        h_in = ((h_plus >> j) & 1) - ((h_minus >> j) & 1)
+        pv, mv, _, ph, _ = advance_column(eq, pv, mv, h_in, rows)
+        eq_cols.append(eq)
+        dv_cols.append(pv)
+        dh_cols.append(ph)
+    ops: List[str] = []
+    while row >= 0 and col >= 0:
+        bit = 1 << row
+        if eq_cols[col] & bit:
+            ops.append(OP_MATCH)
+            row -= 1
+            col -= 1
+        elif dv_cols[col] & bit:
+            ops.append(OP_DELETION)
+            row -= 1
+        elif dh_cols[col] & bit:
+            ops.append(OP_INSERTION)
+            col -= 1
+        else:
+            ops.append(OP_MISMATCH)
+            row -= 1
+            col -= 1
+    next_tile, next_pos = tile_exit(row, col, tile_size)
     return TileTraceback(ops=tuple(ops), next_tile=next_tile, next_pos=next_pos)
 
 

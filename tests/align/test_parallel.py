@@ -244,13 +244,22 @@ class TestWallClock:
         reason="wall-clock speedup requires >= 2 host CPUs",
     )
     def test_500_pair_speedup_over_1_5x(self):
+        # Serial and parallel runs alternate and each side keeps its best
+        # of three, so a drift in host speed between two single runs
+        # cannot decide the ratio.
         dataset = generate_pair_set("acceptance-speed", 100, 0.05, 500, seed=2)
-        serial = align_batch(FullGmxAligner(), dataset)
-        parallel = align_batch(FullGmxAligner(), dataset, workers=4)
+        serial_runs, parallel_runs = [], []
+        for _ in range(3):
+            serial_runs.append(align_batch(FullGmxAligner(), dataset))
+            parallel_runs.append(
+                align_batch(FullGmxAligner(), dataset, workers=4)
+            )
+        serial = min(serial_runs, key=lambda run: run.telemetry.wall_seconds)
+        parallel = min(parallel_runs, key=lambda run: run.telemetry.wall_seconds)
         assert parallel.results == serial.results
         speedup = parallel.telemetry.speedup_vs(serial.telemetry)
         assert speedup > 1.5, (
             f"workers=4 speedup {speedup:.2f}x "
-            f"(serial {serial.telemetry.wall_seconds:.2f}s, "
-            f"parallel {parallel.telemetry.wall_seconds:.2f}s)"
+            f"(best serial {serial.telemetry.wall_seconds:.2f}s, "
+            f"best parallel {parallel.telemetry.wall_seconds:.2f}s)"
         )
